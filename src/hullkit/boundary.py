@@ -80,11 +80,8 @@ def load_csv(path, op_point_columns=None) -> Dataset:
     rejected. When ``op_point_columns`` is omitted, columns named SPEED and
     BTQ are used if both exist.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError:
-        raise
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     if not lines or not lines[0].strip():
         raise ParseError("missing header")
     names = [c.strip() for c in lines[0].split(",")]

@@ -2,8 +2,7 @@
 
 Subcommands: gen, convert, contains, vertices, optimize, bench-conversion,
 bench-membership, bench-optimize. Exit codes: 0 success, 2 usage error,
-3 I/O error. The HULLKIT_THREADS environment variable (positive integer,
-absent means 1) caps any internal parallelism.
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -117,13 +116,18 @@ def _cmd_contains(args):
     queries = [q for q in (args.query or [])]
     if args.queries_csv:
         with open(args.queries_csv, encoding="utf-8") as fh:
-            for line in fh.read().splitlines():
-                if not line.strip():
-                    continue
-                try:
-                    queries.append(np.array([float(c) for c in line.split(",")]))
-                except ValueError:
-                    continue  # header line
+            lines = fh.read().splitlines()
+        first = True
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                queries.append(np.array([float(c) for c in line.split(",")]))
+            except ValueError:
+                if not first:  # only a non-numeric first line is a header
+                    raise ParseError(f"could not parse query row {line!r}",
+                                     line=lineno) from None
+            first = False
     if not queries:
         raise DimensionError("no queries given; use --query or --queries-csv")
     for q in queries:

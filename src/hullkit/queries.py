@@ -12,8 +12,6 @@ it can be checked independently.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,34 +100,14 @@ def is_extreme(v: VRep, k: int) -> bool:
     return outcome.status == INFEASIBLE
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HULLKIT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        val = int(raw)
-    except ValueError as exc:
-        raise ValueError("HULLKIT_THREADS must be a positive integer") from exc
-    if val < 1:
-        raise ValueError("HULLKIT_THREADS must be a positive integer")
-    return val
-
-
 def extreme_points(v: VRep) -> VRep:
     """The sub-VRep of extreme points, in their original order.
 
-    By the Krein-Milman property the hull is unchanged. The per-point LPs
-    are independent; HULLKIT_THREADS > 1 classifies them concurrently.
+    By the Krein-Milman property the hull is unchanged.
     """
     if v.n_points == 1:
         return v
-    threads = _thread_count()
-    indices = range(v.n_points)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flags = list(pool.map(lambda k: is_extreme(v, k), indices))
-    else:
-        flags = [is_extreme(v, k) for k in indices]
+    flags = [is_extreme(v, k) for k in range(v.n_points)]
     kept = np.flatnonzero(flags)
     if kept.size == 0:
         raise ArithmeticError("no extreme points found; numerical invariant violated")

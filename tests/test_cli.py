@@ -84,6 +84,23 @@ def test_contains_dimension_error(tmp_path):
     assert code == 2
 
 
+def test_contains_queries_csv_header_and_malformed_row(tmp_path):
+    vpath = str(tmp_path / "quad.vrep.json")
+    save_vrep(VRep(FIG_QUAD), vpath)
+    good = tmp_path / "good.csv"
+    good.write_text("x,y\n1,1\n5,5\n")
+    code, stdout, _ = run_cli("contains", vpath, "--queries-csv", str(good))
+    assert code == 0
+    assert [l.split()[0] for l in stdout.strip().splitlines()] == ["inside", "outside"]
+
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n1,1\n1,oops\n5,5\n")
+    code, stdout, stderr = run_cli("contains", vpath, "--queries-csv", str(bad))
+    assert code == 3
+    assert "line 3" in stderr
+    assert stdout == ""
+
+
 def test_contains_missing_file():
     code, _, _ = run_cli("contains", "/nonexistent/file.json", "--query", "1,1")
     assert code == 3

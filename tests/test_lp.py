@@ -3,6 +3,7 @@ import pytest
 
 from hullkit import INFEASIBLE, OPTIMAL, UNBOUNDED, DimensionError, LpProblem, \
     lp_solve, to_standard_form
+from hullkit.lp import _simplex
 from oracles import lp_oracle_min, min_grid_distance
 
 
@@ -95,6 +96,27 @@ def test_bland_iteration_headroom():
         out = lp_solve(p)
         bound = 10 * (p.n_rows + p.n_vars)
         assert out.iterations < bound
+
+
+def test_beale_cycling_lp_terminates():
+    # Chvatal's form of Beale's example: from the slack basis, largest-
+    # coefficient pricing with smallest-index leaving ties cycles forever
+    # through six degenerate bases; the Bland fallback must break the cycle.
+    c = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0])
+    a = np.array([[0.25, -60.0, -0.04, 9.0, 1.0, 0.0, 0.0],
+                  [0.5, -90.0, -0.02, 3.0, 0.0, 1.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]])
+    b = np.array([0.0, 0.0, 1.0])
+    tableau = np.hstack([a, b[:, None]])
+    obj_row = np.concatenate([c, [0.0]])
+    basis = [4, 5, 6]
+    status, iters = _simplex(tableau, obj_row, basis, 7, 2, None, 200, 0)
+    assert status == OPTIMAL
+    assert abs(-obj_row[-1] - (-0.05)) <= 1e-12
+    x = np.zeros(7)
+    x[basis] = tableau[:, -1]
+    assert abs(c @ x - (-0.05)) <= 1e-12
+    np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_standard_form_single_inequality():

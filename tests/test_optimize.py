@@ -243,3 +243,22 @@ def test_fd_gradient_path_when_grad_absent():
     assert contains(v, res.minimizer).inside
     best = min(float(np.sum((p - 0.1) ** 2)) for p in v.points)
     assert res.objective <= best + 1e-6
+
+
+def test_chebyshev_center_matches_highs_on_engine_hull():
+    # Operating point 3 of this dataset once came back from the simplex with
+    # a center that cleared its facets 1.3e-5 short of the true optimum.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from hullkit import build_boundary_model, group_by_operating_point, \
+        synth_engine_dataset
+    key, block = group_by_operating_point(synth_engine_dataset(2655869424, 4))[3]
+    model = build_boundary_model(block, range(4), prune=True, op_point_key=key)
+    hrep = vrep_to_hrep(model.vrep).hrep
+    center = chebyshev_center(hrep)
+    clearance = float(np.min(hrep.offsets - hrep.normals @ center))  # unit normals
+    ref = linprog(np.r_[np.zeros(hrep.dim), -1.0],
+                  A_ub=np.hstack([hrep.normals, np.ones((hrep.n_halfspaces, 1))]),
+                  b_ub=hrep.offsets,
+                  bounds=[(None, None)] * hrep.dim + [(0.0, None)], method="highs")
+    assert ref.status == 0
+    assert clearance >= -ref.fun - 1e-9

@@ -142,10 +142,3 @@ def test_scale_robustness():
     for q in rng.uniform(-1.5, 1.5, (50, 3)):
         assert contains(v, q).inside == contains(big, q * 1e3).inside
 
-
-def test_threaded_extreme_points_matches_sequential(monkeypatch):
-    v = random_point_set(30, 3, seed=9)
-    seq = extreme_points(v)
-    monkeypatch.setenv("HULLKIT_THREADS", "4")
-    par = extreme_points(v)
-    np.testing.assert_array_equal(seq.points, par.points)
