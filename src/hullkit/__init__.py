@@ -3,13 +3,13 @@ optimization with a benchmarking CLI."""
 
 from .errors import (ConversionTimeout, DegenerateError, DimensionError,
                      EmptyInterior, HullkitError, InfeasibleStart, ParseError,
-                     SchemaError, SingularError, TooFewPoints)
-from .linalg import Hyperplane, affine_rank, gaussian_solve, hyperplane_through
+                     SchemaError, TooFewPoints)
+from .linalg import Hyperplane, affine_rank
 from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
                  StandardFormLp, lp_solve, to_standard_form)
 from .polytope import (ConversionReport, HRep, VRep, cross_polytope,
-                       hrep_contains, load_hrep, load_vrep, random_point_set,
-                       save_hrep, save_vrep, unit_cube, vrep_to_hrep)
+                       load_hrep, load_vrep, random_point_set, save_hrep,
+                       save_vrep, unit_cube, vrep_to_hrep)
 from .queries import (MembershipResult, Weights, contains, extreme_points,
                       is_extreme)
 from .optimize import (Constraint, Objective, SolveOptions, SolveResult,
@@ -29,13 +29,12 @@ __all__ = [
     "ConversionTimeout", "Dataset", "DegenerateError", "DimensionError",
     "EmptyInterior", "HRep", "HullkitError", "Hyperplane", "INFEASIBLE",
     "InfeasibleStart", "LpOutcome", "LpProblem", "MembershipResult",
-    "OPTIMAL", "Objective", "ParseError", "SchemaError", "SingularError",
+    "OPTIMAL", "Objective", "ParseError", "SchemaError",
     "SolveOptions", "SolveResult", "StandardFormLp", "TooFewPoints",
     "UNBOUNDED", "VRep", "Weights", "affine_rank", "bench_conversion",
     "bench_membership", "bench_optimize", "build_boundary_model",
     "chebyshev_center", "compose_objective", "contains", "cross_polytope",
-    "emit_table", "extreme_points", "gaussian_solve",
-    "group_by_operating_point", "hrep_contains", "hyperplane_through",
+    "emit_table", "extreme_points", "group_by_operating_point",
     "is_extreme", "load_csv", "load_hrep", "load_model", "load_vrep",
     "lp_solve", "project_to_simplex", "random_point_set", "save_csv",
     "save_hrep", "save_model", "save_vrep", "solve_hrep", "solve_vrep",

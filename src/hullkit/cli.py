@@ -99,7 +99,7 @@ def _cmd_gen(args):
 def _cmd_convert(args):
     vrep = load_vrep(args.vrep)
     try:
-        report = vrep_to_hrep(vrep, method=args.method, deadline_s=args.timeout_s)
+        report = vrep_to_hrep(vrep, deadline_s=args.timeout_s)
     except ConversionTimeout as t:
         print(f"timed out after {t.elapsed:.3f} s "
               f"({t.candidates_examined} candidates examined)")
@@ -239,9 +239,9 @@ def _build_parser():
     common(p)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("convert", help="enumerate facets of a point-set hull")
+    p = sub.add_parser("convert", help="enumerate facets of a point-set hull "
+                                       "by the output-sensitive ridge walk")
     p.add_argument("vrep")
-    p.add_argument("--method", choices=("auto", "exhaustive", "pivot"), default="auto")
     p.add_argument("--out", default=None)
     common(p, timeout=True)
     p.set_defaults(func=_cmd_convert)

@@ -9,10 +9,6 @@ class DimensionError(HullkitError, ValueError):
     """Operands have inconsistent dimensions."""
 
 
-class SingularError(HullkitError, ArithmeticError):
-    """Linear system is singular to working precision."""
-
-
 class DegenerateError(HullkitError, ValueError):
     """Point set is affinely degenerate for the requested operation."""
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernels: pivoted solves, affine rank, hyperplane fits.
+"""Dense linear-algebra helpers: input validation, hyperplanes, affine rank.
 
 Vectors and matrices are plain float ``numpy`` arrays; the helpers here
 validate shape and finiteness at module boundaries.
@@ -10,11 +10,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError, SingularError
+from .errors import DegenerateError, DimensionError
 
 # Global geometric tolerance (applied relative to a scale where one exists).
 GEOM_EPS = 1e-9
-# Pivot threshold after row scaling.
+# Normals shorter than this count as zero.
 PIVOT_EPS = 1e-12
 
 
@@ -78,43 +78,6 @@ class Hyperplane:
         """Signed distance-like value ``normal . x - offset``."""
         return float(self.normal @ as_vector(x, self.dim) - self.offset)
 
-    def flipped(self) -> "Hyperplane":
-        return Hyperplane(-self.normal, -self.offset)
-
-
-def gaussian_solve(a, rhs) -> np.ndarray:
-    """Solve ``a x = rhs`` by Gaussian elimination with partial pivoting.
-
-    Pivots are selected by scaled magnitude; a pivot below 1e-12 after row
-    scaling raises :class:`SingularError`.
-    """
-    a = as_matrix(a)
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise DimensionError("gaussian_solve requires a square matrix")
-    b = as_vector(rhs, n)
-
-    aug = np.hstack([a, b[:, None]])
-    scale = np.max(np.abs(a), axis=1)
-    if np.any(scale == 0.0):
-        raise SingularError("matrix has a zero row")
-
-    for k in range(n):
-        rel = np.abs(aug[k:, k]) / scale[k:]
-        p = k + int(np.argmax(rel))
-        if rel[p - k] < PIVOT_EPS:
-            raise SingularError(f"pivot below {PIVOT_EPS:g} in column {k}")
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-            scale[[k, p]] = scale[[p, k]]
-        factors = aug[k + 1:, k] / aug[k, k]
-        aug[k + 1:, k:] -= np.outer(factors, aug[k, k:])
-
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (aug[k, -1] - aug[k, k + 1:n] @ x[k + 1:]) / aug[k, k]
-    return x
-
 
 def _rref(mat, tol):
     """Reduced row echelon form with partial pivoting; returns (rref, pivot cols)."""
@@ -148,31 +111,3 @@ def affine_rank(points) -> int:
     _, piv = _rref(diffs, GEOM_EPS * scale)
     return len(piv)
 
-
-def hyperplane_through(points) -> Hyperplane:
-    """Hyperplane through exactly ``n`` points of R^n.
-
-    Orientation is unspecified; callers fix the sign. Raises
-    :class:`DegenerateError` when the points span less than n-1 affine
-    dimensions.
-    """
-    pts = as_matrix(np.atleast_2d(np.asarray(points, dtype=float)))
-    n = pts.shape[1]
-    if pts.shape[0] != n:
-        raise DimensionError(f"need exactly {n} points in R^{n}, got {pts.shape[0]}")
-    if n == 1:
-        return Hyperplane(np.array([1.0]), float(pts[0, 0]))
-
-    diffs = pts[1:] - pts[0]
-    scale = max(1.0, float(np.max(np.abs(diffs))))
-    rref, piv = _rref(diffs, GEOM_EPS * scale)
-    free = [c for c in range(n) if c not in piv]
-    if len(free) != 1:
-        raise DegenerateError("points are affinely degenerate for a hyperplane fit")
-
-    normal = np.zeros(n)
-    normal[free[0]] = 1.0
-    for row, pc in enumerate(piv):
-        normal[pc] = -rref[row, free[0]]
-    normal /= np.linalg.norm(normal)
-    return Hyperplane(normal, float(normal @ pts[0]))

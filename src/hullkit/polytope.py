@@ -1,20 +1,16 @@
 """Vertex (V-) and half-space (H-) representations of point-set hulls.
 
 Includes reference generators (unit cube, cross-polytope), seeded random
-point sets, and facet enumeration for the V-to-H conversion. Two conversion
-routes are provided:
+point sets, and facet enumeration for the V-to-H conversion.
 
-* ``exhaustive`` fits a hyperplane to every n-subset of points and keeps the
-  supporting ones. Simple and verifiable, but the candidate count C(m, n)
-  explodes quickly.
-* ``pivot`` wraps around the hull by rotating supporting hyperplanes across
-  ridges, so its cost scales with the number of facets found rather than
-  C(m, n). Input points are deterministically perturbed to general position
-  for the combinatorial walk; every reported facet is refit on the original
-  coordinates.
-
-Both routes end in the same dedup step (facets are identified by the set of
-input points on them), so they agree exactly where both are feasible.
+Facets are enumerated by gift-wrapping (Chand & Kapur 1970): starting from
+one supporting facet, the walk rotates the supporting hyperplane across each
+ridge to the neighbouring facet, so its cost follows the number of facets
+found rather than the C(m, n) subsets of the input. The walk runs on a
+deterministically perturbed copy of the points, which puts them in general
+position so that every facet it meets is a simplex. Each simplex is then
+refit on the original coordinates, and facets are identified by the set of
+input points on them, which merges coplanar simplices back into true facets.
 """
 
 from __future__ import annotations
@@ -28,16 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionTimeout, DegenerateError, DimensionError
-from .linalg import GEOM_EPS, Hyperplane, affine_rank, as_matrix, as_vector
+from .errors import ConversionTimeout, DegenerateError
+from .linalg import GEOM_EPS, affine_rank, as_matrix, as_vector
 
 # Points closer than this in max-norm count as duplicates.
 DISTINCT_EPS = 1e-12
 # Facets whose (normal, offset) agree within this are merged.
 DEDUP_EPS = 1e-7
 
-# Candidate-count threshold below which the exhaustive route is the default.
-_EXHAUSTIVE_LIMIT = 200_000
+# Simplices refit per batched SVD.
 _CHUNK = 2048
 
 
@@ -126,16 +121,6 @@ class HRep:
     def n_halfspaces(self) -> int:
         return self.normals.shape[0]
 
-    @property
-    def halfspaces(self) -> list[Hyperplane]:
-        return [Hyperplane(n, o) for n, o in zip(self.normals, self.offsets)]
-
-    @classmethod
-    def from_halfspaces(cls, planes) -> "HRep":
-        normals = np.array([p.normal for p in planes], dtype=float)
-        offsets = np.array([p.offset for p in planes], dtype=float)
-        return cls(normals, offsets)
-
     def contains(self, x, tol: float = GEOM_EPS) -> bool:
         x = as_vector(x, self.dim)
         return bool(np.all(self.normals @ x <= self.offsets + tol))
@@ -151,11 +136,6 @@ class HRep:
         normals = np.array([h["normal"] for h in data["halfspaces"]], dtype=float)
         offsets = np.array([h["offset"] for h in data["halfspaces"]], dtype=float)
         return cls(as_matrix(normals, cols=dim), offsets)
-
-
-def hrep_contains(h: HRep, x, tol: float = GEOM_EPS) -> bool:
-    """True iff ``normal_i . x <= offset_i + tol`` for every half-space."""
-    return h.contains(x, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -231,24 +211,19 @@ def _deadline_check(t0, deadline, candidates):
 
 
 def _supporting_onsets(points, subsets, tol, t0, deadline, counter):
-    """Collect facet identities from candidate n-subsets of ``points``.
+    """Collect facet identities from the n-subsets of ``points`` in ``subsets``.
 
-    Each subset is fit with a hyperplane (batched); a candidate survives iff
-    all points lie on one side within ``tol``. The facet identity is the
-    frozen set of point indices on the fitted hyperplane, which makes the
-    dedup step exact.
+    ``subsets`` is an (S, n) index array. Each subset is fit with a hyperplane
+    (batched); a candidate survives iff all points lie on one side within
+    ``tol``. The facet identity is the frozen set of point indices on the
+    fitted hyperplane, which makes the dedup step exact.
     """
-    m, n = points.shape
     onsets = set()
-    it = iter(subsets)
-    while True:
-        chunk = list(itertools.islice(it, _CHUNK))
-        if not chunk:
-            break
-        counter[0] += len(chunk)
+    for lo in range(0, len(subsets), _CHUNK):
+        idx = subsets[lo:lo + _CHUNK]
+        counter[0] += len(idx)
         _deadline_check(t0, deadline, counter[0])
 
-        idx = np.asarray(chunk, dtype=np.intp)
         pts = points[idx]                      # (B, n, n)
         diffs = pts[:, 1:, :] - pts[:, :1, :]  # (B, n-1, n)
         _, sing, vt = np.linalg.svd(diffs)
@@ -362,9 +337,8 @@ def _initial_facet(pp, scale, t0, deadline, counter):
     return tuple(sorted(chosen)), a
 
 
-def _onsets_pivot(points, tol, t0, deadline, counter):
-    """Facet identities via ridge pivoting on deterministically perturbed points."""
-    m, n = points.shape
+def _ridge_walk_onsets(points, tol, t0, deadline, counter):
+    """Facet identities via the ridge walk on deterministically perturbed points."""
     scale = max(1.0, float(np.max(np.abs(points))))
     rng = np.random.default_rng(987654321)
     pp = points + rng.uniform(-1.0, 1.0, points.shape) * (1e-9 * scale)
@@ -399,16 +373,20 @@ def _onsets_pivot(points, tol, t0, deadline, counter):
 
     # Refit every simplicial facet on the unperturbed coordinates; the shared
     # on-set dedup collapses coplanar pieces back into true facets.
-    return _supporting_onsets(points, iter(facets.keys()), tol, t0, deadline, counter)
+    return _supporting_onsets(points, np.array(list(facets), dtype=np.intp),
+                              tol, t0, deadline, counter)
 
 
-def vrep_to_hrep(vrep: VRep, method: str = "auto",
-                 deadline_s: float | None = None) -> ConversionReport:
+def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionReport:
     """Enumerate the facets of ``conv(points)`` as an H-representation.
 
-    ``method`` is ``"exhaustive"`` (every n-subset is a candidate),
-    ``"pivot"`` (ridge rotation, output-sensitive), or ``"auto"`` which picks
-    ``exhaustive`` while C(m, n) stays small. Raises
+    For n >= 2 the facets come from the ridge walk described in the module
+    docstring; for n == 1 they are the two extreme values. Every facet is
+    fit on the original coordinates, so its normal and offset do not
+    depend on the perturbation. ``candidates_examined`` counts the walk's
+    steps: one per step that grows the initial facet, one per ridge
+    pivoted, and one per simplicial facet refit on the original points
+    (m when n == 1). Raises
     :class:`DegenerateError` if the hull is not full-dimensional and
     :class:`ConversionTimeout` if ``deadline_s`` expires.
     """
@@ -418,13 +396,6 @@ def vrep_to_hrep(vrep: VRep, method: str = "auto",
     deadline = t0 + deadline_s if deadline_s is not None else None
     if affine_rank(points) < n:
         raise DegenerateError("hull is not full-dimensional")
-
-    if method == "auto":
-        method = "exhaustive" if (n == 1 or math.comb(m, n) <= _EXHAUSTIVE_LIMIT) else "pivot"
-    if method not in ("exhaustive", "pivot"):
-        raise ValueError(f"unknown conversion method {method!r}")
-    if method == "pivot" and n == 1:
-        method = "exhaustive"
 
     scale = max(1.0, float(np.max(np.abs(points))))
     tol = GEOM_EPS * scale
@@ -437,11 +408,8 @@ def vrep_to_hrep(vrep: VRep, method: str = "auto",
             frozenset(np.flatnonzero(vals >= vals.max() - tol).tolist()),
             frozenset(np.flatnonzero(vals <= vals.min() + tol).tolist()),
         }
-    elif method == "exhaustive":
-        onsets = _supporting_onsets(points, itertools.combinations(range(m), n),
-                                    tol, t0, deadline, counter)
     else:
-        onsets = _onsets_pivot(points, tol, t0, deadline, counter)
+        onsets = _ridge_walk_onsets(points, tol, t0, deadline, counter)
 
     planes = _facets_from_onsets(points, onsets, tol)
     hrep = HRep(np.array([p[0] for p in planes]), np.array([p[1] for p in planes]))

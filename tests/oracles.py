@@ -3,7 +3,8 @@
 Each oracle takes a deliberately different route from the code it checks:
 basis enumeration instead of simplex pivoting, lattice search instead of the
 sort-and-threshold projection, bisection on the KKT threshold instead of
-sorting, and dense grid scans for small membership questions.
+sorting, dense grid scans for small membership questions, and brute-force
+subset fitting instead of the ridge walk for facet enumeration.
 """
 
 import itertools
@@ -137,3 +138,41 @@ def central_difference(fun, x, h=1e-6):
         e[i] = h
         g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
     return g
+
+
+def bruteforce_facets(points, tol=1e-9):
+    """Facets of ``conv(points)`` in R^n (n >= 2) by fitting every n-subset.
+
+    The points are centred and scaled into [-1, 1]^n. Each n-subset gets the
+    hyperplane ``a.x = b`` whose coefficients span the null space of the
+    homogeneous system ``[x_i, -1]`` (last right singular vector); subsets of
+    rank below n are skipped. A plane is kept when every point lies on one
+    side within ``tol`` (in scaled units), and planes are merged by the set
+    of points on them. Returns outward unit normals and offsets in the input
+    coordinates, one row per facet.
+    """
+    pts = np.asarray(points, dtype=float)
+    m, n = pts.shape
+    centre = pts.mean(axis=0)
+    scale = float(np.abs(pts - centre).max())
+    unit = (pts - centre) / scale
+    homog = np.hstack([unit, -np.ones((m, 1))])
+
+    planes = {}
+    subsets = np.array(list(itertools.combinations(range(m), n)), dtype=np.intp)
+    for lo in range(0, len(subsets), 4096):
+        _, sing, vt = np.linalg.svd(homog[subsets[lo:lo + 4096]])  # (B, n, n+1)
+        coef = vt[:, -1, :]                             # (B, n+1) null vectors
+        length = np.linalg.norm(coef[:, :n], axis=1)
+        ok = (sing[:, -1] > 1e-9 * sing[:, 0]) & (length > 1e-12)
+        coef = coef[ok] / length[ok, None]              # unit normal, offset
+        side = homog @ coef.T                           # (m, K)
+        for k in np.flatnonzero((side.max(axis=0) <= tol) | (side.min(axis=0) >= -tol)):
+            onset = frozenset(np.flatnonzero(np.abs(side[:, k]) <= tol).tolist())
+            if onset not in planes:
+                sign = -1.0 if side[:, k].max() > tol else 1.0
+                planes[onset] = (sign * coef[k, :n], sign * coef[k, n])
+
+    normals = np.array([a for a, _ in planes.values()])
+    offsets = np.array([b * scale + a @ centre for a, b in planes.values()])
+    return normals, offsets

@@ -1,38 +1,8 @@
 import numpy as np
 import pytest
 
-from hullkit import DegenerateError, SingularError, affine_rank, \
-    gaussian_solve, hyperplane_through
+from hullkit import affine_rank
 from hullkit.linalg import Hyperplane
-
-
-def test_solve_identity():
-    x = gaussian_solve(np.eye(3), [1.0, 2.0, 3.0])
-    np.testing.assert_allclose(x, [1.0, 2.0, 3.0])
-
-
-def test_solve_diagonal():
-    x = gaussian_solve([[2.0, 0.0], [0.0, 4.0]], [2.0, 8.0])
-    np.testing.assert_allclose(x, [1.0, 2.0])
-
-
-def test_solve_singular():
-    with pytest.raises(SingularError):
-        gaussian_solve([[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0])
-
-
-def test_solve_residuals_random():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        n = int(rng.integers(2, 9))
-        a = rng.uniform(-1.0, 1.0, (n, n))
-        rhs = rng.uniform(-1.0, 1.0, n)
-        try:
-            x = gaussian_solve(a, rhs)
-        except SingularError:
-            continue  # random draws are almost surely nonsingular
-        resid = np.abs(a @ x - rhs).max()
-        assert resid <= 1e-8 * (1.0 + np.abs(rhs).max())
 
 
 def test_affine_rank_cases():
@@ -49,37 +19,6 @@ def test_affine_rank_permutation_invariant():
     for _ in range(10):
         perm = rng.permutation(6)
         assert affine_rank(pts[perm]) == base
-
-
-def test_hyperplane_x_axis():
-    hp = hyperplane_through([(0.0, 0.0), (1.0, 0.0)])
-    np.testing.assert_allclose(np.abs(hp.normal), [0.0, 1.0], atol=1e-12)
-    assert abs(hp.offset) <= 1e-12
-
-
-def test_hyperplane_simplex_facet():
-    hp = hyperplane_through([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)])
-    s = np.sign(hp.normal[0])
-    np.testing.assert_allclose(s * hp.normal, np.ones(3) / np.sqrt(3), atol=1e-12)
-    assert abs(s * hp.offset - 1.0 / np.sqrt(3)) <= 1e-12
-
-
-def test_hyperplane_degenerate():
-    with pytest.raises(DegenerateError):
-        hyperplane_through([(0.0, 0.0), (0.0, 0.0)])
-
-
-def test_hyperplane_residual_property():
-    rng = np.random.default_rng(23)
-    for _ in range(50):
-        n = int(rng.integers(2, 7))
-        pts = rng.uniform(-5.0, 5.0, (n, n))
-        try:
-            hp = hyperplane_through(pts)
-        except DegenerateError:
-            continue
-        resid = np.abs(pts @ hp.normal - hp.offset).max()
-        assert resid <= 1e-9 * max(1.0, np.abs(pts).max())
 
 
 def test_hyperplane_requires_unit_normal():

@@ -3,7 +3,7 @@ import pytest
 
 from hullkit import Constraint, EmptyInterior, InfeasibleStart, Objective, \
     SolveOptions, VRep, chebyshev_center, compose_objective, contains, \
-    cross_polytope, hrep_contains, project_to_simplex, random_point_set, \
+    cross_polytope, project_to_simplex, random_point_set, \
     solve_hrep, solve_vrep, unit_cube, vrep_to_hrep
 from oracles import central_difference, grid_project, grid_project_bruteforce, \
     kkt_project
@@ -167,7 +167,7 @@ def test_solve_hrep_linear_on_square():
     f = Objective(dim=2, eval=lambda x: float(x[0]), grad=lambda x: np.array([1.0, 0.0]))
     res = solve_hrep(f, [], h, np.array([0.5, 0.5]))
     assert res.objective <= 1e-4
-    assert hrep_contains(h, res.minimizer)
+    assert h.contains(res.minimizer)
 
 
 def test_solve_hrep_interior_target():

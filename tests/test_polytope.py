@@ -1,17 +1,53 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from hullkit import ConversionTimeout, DegenerateError, HRep, VRep, \
-    contains, cross_polytope, hrep_contains, random_point_set, unit_cube, \
-    vrep_to_hrep
+    contains, cross_polytope, random_point_set, unit_cube, vrep_to_hrep
+from oracles import bruteforce_facets
 
 FIG_QUAD = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 def _facet_array(hrep):
     return np.hstack([hrep.normals, hrep.offsets[:, None]])
+
+
+def _assert_same_facets(got, expect, atol):
+    """Both (normal, offset) arrays hold the same rows within ``atol``."""
+    assert got.shape == expect.shape
+    dist = np.abs(got[:, None, :] - expect[None, :, :]).max(axis=2)
+    assert dist.min(axis=1).max() <= atol
+    assert dist.min(axis=0).max() <= atol
+
+
+def _cube_with_facet_centres(n):
+    centres = 0.5 + 0.5 * np.vstack([np.eye(n), -np.eye(n)])
+    return np.vstack([unit_cube(n)[0].points, centres])
+
+
+def _hexagon_times_hexagon():
+    ang = np.arange(6) * np.pi / 3.0
+    hexagon = np.column_stack([np.cos(ang), np.sin(ang)])
+    return np.array([np.concatenate([p, q]) for p in hexagon for q in hexagon])
+
+
+ORACLE_CASES = {
+    **{f"random22x4-seed{s}": (lambda s=s: random_point_set(22, 4, seed=s).points)
+       for s in range(6)},
+    "cube4": lambda: unit_cube(4)[0].points,
+    "cross3": lambda: cross_polytope(3)[0].points,
+    "cross4": lambda: cross_polytope(4)[0].points,
+    "cross5": lambda: cross_polytope(5)[0].points,
+    "grid3x3x3": lambda: np.array(list(itertools.product((0.0, 1.0, 2.0), repeat=3))),
+    "cube3-face-centres": lambda: _cube_with_facet_centres(3),
+    "cube4-facet-centres": lambda: _cube_with_facet_centres(4),
+    "hexagon-x-hexagon": _hexagon_times_hexagon,
+    "random22x4-seed0-times-1e4": lambda: random_point_set(22, 4, seed=0).points * 1e4,
+    "cube4-plus-1e6": lambda: unit_cube(4)[0].points + 1e6,
+}
 
 
 def test_cube_counts_through_dim_10():
@@ -69,19 +105,25 @@ def test_conversion_quadrilateral_with_interior_point():
     assert report.facet_count == 4
 
 
-def test_conversion_cube4_both_methods():
-    vrep, _ = unit_cube(4)
-    assert vrep_to_hrep(vrep, method="exhaustive").facet_count == 8
-    assert vrep_to_hrep(vrep, method="pivot").facet_count == 8
+@pytest.mark.parametrize("case", list(ORACLE_CASES))
+def test_conversion_matches_bruteforce_oracle(case):
+    points = ORACLE_CASES[case]()
+    scale = max(1.0, float(np.abs(points).max()))
+    got = _facet_array(vrep_to_hrep(VRep(points)).hrep)
+    normals, offsets = bruteforce_facets(points)
+    expect = np.hstack([normals, offsets[:, None]])
+    got[:, -1] /= scale  # compare offsets relative to the data's magnitude
+    expect[:, -1] /= scale
+    _assert_same_facets(got, expect, atol=1e-9)
 
 
-def test_methods_agree_on_random_sets():
-    for seed in range(6):
-        v = random_point_set(22, 4, seed=seed)
-        a = _facet_array(vrep_to_hrep(v, method="exhaustive").hrep)
-        b = _facet_array(vrep_to_hrep(v, method="pivot").hrep)
-        assert a.shape == b.shape
-        np.testing.assert_allclose(a, b, atol=1e-9)
+def test_conversion_matches_qhull_60x5():
+    spatial = pytest.importorskip("scipy.spatial")
+    v = random_point_set(60, 5, seed=3)
+    got = _facet_array(vrep_to_hrep(v).hrep)
+    eq = spatial.ConvexHull(v.points).equations  # normal . x + c <= 0
+    expect = np.hstack([eq[:, :-1], -eq[:, -1:]])
+    _assert_same_facets(got, expect, atol=1e-9)
 
 
 def test_facet_set_permutation_invariant():
@@ -111,10 +153,10 @@ def test_conversion_timeout_raised():
 
 def test_hrep_contains_examples():
     _, cube_h = unit_cube(3)
-    assert hrep_contains(cube_h, [0.5, 0.5, 0.5])
-    assert not hrep_contains(cube_h, [1.5, 0.0, 0.0])
+    assert cube_h.contains([0.5, 0.5, 0.5])
+    assert not cube_h.contains([1.5, 0.0, 0.0])
     _, cross_h = cross_polytope(3)
-    assert not hrep_contains(cross_h, [0.4, 0.4, 0.4])  # l1 norm 1.2 > 1
+    assert not cross_h.contains([0.4, 0.4, 0.4])  # l1 norm 1.2 > 1
 
 
 def test_random_50x5_facet_count_order_of_magnitude():
@@ -164,7 +206,8 @@ def test_json_round_trip(tmp_path):
 
 def test_conversion_report_counters():
     v = random_point_set(12, 3, seed=8)
-    report = vrep_to_hrep(v, method="exhaustive")
-    assert report.candidates_examined == 220  # C(12, 3)
+    report = vrep_to_hrep(v)
+    # Every facet is refit from at least one simplex the walk found.
+    assert report.candidates_examined >= report.facet_count
     assert report.elapsed >= 0.0
     assert report.facet_count == report.hrep.n_halfspaces
