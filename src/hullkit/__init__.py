@@ -5,8 +5,7 @@ from .errors import (ConversionTimeout, DegenerateError, DimensionError,
                      EmptyInterior, HullkitError, InfeasibleStart, ParseError,
                      SchemaError, TooFewPoints)
 from .linalg import Hyperplane, affine_rank
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem,
-                 StandardFormLp, lp_solve, to_standard_form)
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
 from .polytope import (ConversionReport, HRep, VRep, cross_polytope,
                        load_hrep, load_vrep, random_point_set, save_hrep,
                        save_vrep, unit_cube, vrep_to_hrep)
@@ -30,7 +29,7 @@ __all__ = [
     "EmptyInterior", "HRep", "HullkitError", "Hyperplane", "INFEASIBLE",
     "InfeasibleStart", "LpOutcome", "LpProblem", "MembershipResult",
     "OPTIMAL", "Objective", "ParseError", "SchemaError",
-    "SolveOptions", "SolveResult", "StandardFormLp", "TooFewPoints",
+    "SolveOptions", "SolveResult", "TooFewPoints",
     "UNBOUNDED", "VRep", "Weights", "affine_rank", "bench_conversion",
     "bench_membership", "bench_optimize", "build_boundary_model",
     "chebyshev_center", "compose_objective", "contains", "cross_polytope",
@@ -38,6 +37,6 @@ __all__ = [
     "is_extreme", "load_csv", "load_hrep", "load_model", "load_vrep",
     "lp_solve", "project_to_simplex", "random_point_set", "save_csv",
     "save_hrep", "save_model", "save_vrep", "solve_hrep", "solve_vrep",
-    "synth_bsfc_objective", "synth_engine_dataset", "to_standard_form",
-    "unit_cube", "vrep_to_hrep",
+    "synth_bsfc_objective", "synth_engine_dataset", "unit_cube",
+    "vrep_to_hrep",
 ]

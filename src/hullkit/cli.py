@@ -2,7 +2,8 @@
 
 Subcommands: gen, convert, contains, vertices, optimize, bench-conversion,
 bench-membership, bench-optimize. Exit codes: 0 success, 2 usage error,
-3 I/O error.
+3 I/O error, 4 numerical failure (an ``ArithmeticError`` such as the
+simplex iteration cap).
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from .errors import ConversionTimeout, DimensionError, HullkitError, ParseError,
 from .optimize import Objective, chebyshev_center, solve_hrep, solve_vrep
 from .polytope import VRep, cross_polytope, load_vrep, random_point_set, \
     save_hrep, save_vrep, unit_cube, vrep_to_hrep
-from .queries import contains, extreme_points, is_extreme
+from .queries import contains, extreme_points
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
+EXIT_NUMERIC = 4
 
 
 def _parse_grid(text):
@@ -143,9 +145,10 @@ def _cmd_contains(args):
 
 def _cmd_vertices(args):
     vrep = load_vrep(args.vrep)
-    flags = [is_extreme(vrep, k) for k in range(vrep.n_points)]
-    idx = [k for k, f in enumerate(flags) if f]
-    pruned = VRep(vrep.points[idx])
+    pruned = extreme_points(vrep)
+    # The kept points are a subsequence of the input rows, in input order.
+    rows = iter(enumerate(vrep.points))
+    idx = [next(k for k, p in rows if np.array_equal(p, q)) for q in pruned.points]
     out = args.out or args.vrep + ".pruned.json"
     save_vrep(pruned, out)
     print(f"extreme {len(idx)} of {vrep.n_points}: {idx}")
@@ -304,6 +307,9 @@ def main(argv=None) -> int:
     except (HullkitError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

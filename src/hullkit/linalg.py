@@ -10,12 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateError, DimensionError
+from .errors import DimensionError
 
 # Global geometric tolerance (applied relative to a scale where one exists).
 GEOM_EPS = 1e-9
-# Normals shorter than this count as zero.
-PIVOT_EPS = 1e-12
 
 
 def as_vector(x, dim=None) -> np.ndarray:
@@ -62,21 +60,9 @@ class Hyperplane:
         if abs(np.linalg.norm(normal) - 1.0) > 1e-12:
             raise ValueError("hyperplane normal must be unit length")
 
-    @classmethod
-    def from_unnormalized(cls, normal, offset) -> "Hyperplane":
-        normal = as_vector(normal)
-        scale = np.linalg.norm(normal)
-        if scale <= PIVOT_EPS:
-            raise DegenerateError("hyperplane normal is numerically zero")
-        return cls(normal / scale, float(offset) / scale)
-
     @property
     def dim(self) -> int:
         return self.normal.shape[0]
-
-    def side(self, x) -> float:
-        """Signed distance-like value ``normal . x - offset``."""
-        return float(self.normal @ as_vector(x, self.dim) - self.offset)
 
 
 def _rref(mat, tol):

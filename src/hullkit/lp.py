@@ -1,8 +1,10 @@
 """Two-phase dense-tableau simplex for standard-form linear programs.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0``. Both phases price with Dantzig's
-rule (most negative reduced cost enters), which needs several times fewer
-pivots than Bland's rule on membership LPs. Dantzig's rule alone can cycle
+Solves ``min c.x  s.t.  A x = b, x >= 0``. Every LP in hullkit has the
+membership shape built by ``queries.membership_problem``, so no conversion
+from other forms is needed. Both phases price with Dantzig's rule (most
+negative reduced cost enters), which needs several times fewer pivots than
+Bland's rule on membership LPs. Dantzig's rule alone can cycle
 on a degenerate vertex, so after a run of degenerate pivots the loop falls
 back to Bland's smallest-index rule until the objective moves again; that
 keeps every solve finite. The leaving row is always the minimum ratio with
@@ -71,9 +73,10 @@ class LpOutcome:
     farkas: np.ndarray | None = None
     iterations: int = 0
     pivots: tuple | None = None
+    basis: tuple | None = None
 
 
-class _IterationCap(RuntimeError):
+class _IterationCap(ArithmeticError):
     pass
 
 
@@ -144,7 +147,9 @@ def lp_solve(problem: LpProblem, track_pivots: bool = False,
     artificial-variable sum; a phase-1 optimum above 1e-8 yields
     ``INFEASIBLE`` with the Farkas vector recovered from the final dual
     values. Phase 2 optimizes ``cost``; ``UNBOUNDED`` is reported when an
-    entering column admits no ratio-test row.
+    entering column admits no ratio-test row. An optimal outcome carries the
+    final basis (one column per row kept after dropping redundant rows), from
+    which callers can recover dual values.
     """
     a = problem.eq_matrix
     b = problem.eq_rhs
@@ -224,73 +229,6 @@ def lp_solve(problem: LpProblem, track_pivots: bool = False,
         x[bv] = tableau2[i, -1]
     return LpOutcome(OPTIMAL, solution=x, objective=float(-obj_row[-1]),
                      iterations=iters,
-                     pivots=tuple(pivots) if pivots is not None else None)
+                     pivots=tuple(pivots) if pivots is not None else None,
+                     basis=tuple(basis))
 
-
-@dataclass(frozen=True)
-class StandardFormLp:
-    """A standard-form LP plus the bookkeeping to undo the conversion."""
-
-    problem: LpProblem
-    n_original: int
-    n_slacks: int
-    pos_index: np.ndarray
-    neg_index: np.ndarray
-
-    def original_solution(self, x_std) -> np.ndarray:
-        x_std = as_vector(x_std, self.problem.n_vars)
-        x = x_std[self.pos_index].copy()
-        has_neg = self.neg_index >= 0
-        x[has_neg] -= x_std[self.neg_index[has_neg]]
-        return x
-
-
-def to_standard_form(cost, eq_matrix=None, eq_rhs=None, ineq_matrix=None,
-                     ineq_rhs=None, nonneg=None) -> StandardFormLp:
-    """Convert ``min c.x  s.t.  E x = f, G x <= h`` to standard form.
-
-    ``nonneg[i]`` marks variable i as sign-constrained; free variables are
-    split ``x = x+ - x-``. Each inequality row gains a nonnegative slack.
-    The returned wrapper maps standard-form solutions back to the original
-    variables.
-    """
-    c = as_vector(cost)
-    n = c.shape[0]
-    if nonneg is None:
-        nonneg = np.ones(n, dtype=bool)
-    else:
-        nonneg = np.asarray(nonneg, dtype=bool)
-        if nonneg.shape != (n,):
-            raise DimensionError("nonneg flags must match the cost dimension")
-
-    blocks, rhs_parts = [], []
-    if eq_matrix is not None:
-        eqa = as_matrix(eq_matrix, cols=n)
-        blocks.append(eqa)
-        rhs_parts.append(as_vector(eq_rhs, eqa.shape[0]))
-    n_eq = blocks[0].shape[0] if blocks else 0
-    if ineq_matrix is not None:
-        ga = as_matrix(ineq_matrix, cols=n)
-        blocks.append(ga)
-        rhs_parts.append(as_vector(ineq_rhs, ga.shape[0]))
-    if not blocks:
-        raise DimensionError("need at least one constraint row")
-
-    big = np.vstack(blocks)
-    rhs = np.concatenate(rhs_parts)
-    n_slacks = big.shape[0] - n_eq
-
-    free = np.flatnonzero(~nonneg)
-    pos_index = np.arange(n)
-    neg_index = np.full(n, -1, dtype=int)
-    neg_index[free] = n + np.arange(free.size)
-
-    cols = [big, -big[:, free]]
-    cost_parts = [c, -c[free]]
-    if n_slacks:
-        slack_block = np.zeros((big.shape[0], n_slacks))
-        slack_block[n_eq:, :] = np.eye(n_slacks)
-        cols.append(slack_block)
-        cost_parts.append(np.zeros(n_slacks))
-    problem = LpProblem(np.concatenate(cost_parts), np.hstack(cols), rhs)
-    return StandardFormLp(problem, n, n_slacks, pos_index, neg_index)

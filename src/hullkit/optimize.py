@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import DimensionError, EmptyInterior, InfeasibleStart
 from .linalg import as_vector
-from .lp import OPTIMAL, UNBOUNDED, lp_solve, to_standard_form
+from .lp import INFEASIBLE, OPTIMAL, lp_solve
 from .polytope import HRep, VRep
-from .queries import Weights
+from .queries import Weights, membership_problem
 
 # Central-difference step used when an objective has no analytic gradient.
 _FD_STEP = 1e-6
@@ -60,16 +60,11 @@ class SolveOptions:
     step_tol: float = 1e-6
     constraint_tol: float = 1e-6
     objective_tol: float = 1e-6
-    fd_step_max: float = 0.1
-    fd_step_min: float = 1e-8
 
     def __post_init__(self):
-        for name in ("max_iters", "step_tol", "constraint_tol",
-                     "objective_tol", "fd_step_max", "fd_step_min"):
+        for name in ("max_iters", "step_tol", "constraint_tol", "objective_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.fd_step_min >= self.fd_step_max:
-            raise ValueError("fd_step_min must be below fd_step_max")
 
 
 @dataclass(frozen=True)
@@ -100,14 +95,13 @@ class _Budget:
         return self.used > self.cap
 
 
-def _fd_gradient(fun, x, budget, opts: SolveOptions) -> np.ndarray:
-    h = min(max(_FD_STEP, opts.fd_step_min), opts.fd_step_max)
+def _fd_gradient(fun, x, budget) -> np.ndarray:
     g = np.empty_like(x)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
-        e[i] = h
+        e[i] = _FD_STEP
         budget.spend(2)
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
+        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * _FD_STEP)
     return g
 
 
@@ -147,7 +141,7 @@ def compose_objective(f: Objective, v: VRep) -> Objective:
     return Objective(dim=v.n_points, eval=fun, grad=grad)
 
 
-def _penalized(f: Objective, cons, rho, budget, opts):
+def _penalized(f: Objective, cons, rho, budget):
     """Objective + quadratic penalty max(0, -g)^2, with gradient closure."""
     def fun(x):
         val = f.eval(x)
@@ -161,11 +155,11 @@ def _penalized(f: Objective, cons, rho, budget, opts):
         if f.grad is not None:
             g = np.array(f.grad(x), dtype=float)
         else:
-            g = _fd_gradient(f.eval, x, budget, opts)
+            g = _fd_gradient(f.eval, x, budget)
         for c in cons:
             viol = -c.eval(x)
             if viol > 0.0:
-                g += rho * 2.0 * viol * -_fd_gradient(c.eval, x, budget, opts)
+                g += rho * 2.0 * viol * -_fd_gradient(c.eval, x, budget)
         return g
 
     return fun, grad
@@ -282,7 +276,7 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None,
     converged = False
     rounds = _PENALTY_ROUNDS if cons_t else 1
     for _ in range(rounds):
-        fun, grad = _penalized(ft, cons_t, rho, budget, opts)
+        fun, grad = _penalized(ft, cons_t, rho, budget)
         alpha, f_val, iters, converged = inner(fun, grad, alpha, opts, budget,
                                                trace, opts.max_iters)
         iters_total += iters
@@ -332,7 +326,7 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
     converged = False
 
     for _ in range(rounds):
-        fun0, grad0 = _penalized(f, cons, rho, budget, opts)
+        fun0, grad0 = _penalized(f, cons, rho, budget)
 
         def barrier_val(xx, mu, fun0=fun0):
             s = b_vec - a_mat @ xx
@@ -421,26 +415,29 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
 
 
 def chebyshev_center(h: HRep) -> np.ndarray:
-    """Center of the largest inscribed ball, via the LP ``max r`` s.t.
-    ``normal_i . x + r <= offset_i`` and ``r >= 0``.
+    """Center of the largest inscribed ball, by the dual of the LP ``max r``
+    s.t. ``normal_i . x + r <= offset_i``.
 
-    Requires a bounded, full-dimensional region; raises
-    :class:`EmptyInterior` when the optimal radius is <= 1e-9.
+    The dual, ``min offset . y`` s.t. ``sum_i y_i normal_i = 0``,
+    ``sum_i y_i = 1``, ``y >= 0``, is the membership LP of the origin in the
+    hull of the normals priced by the offsets: n + 1 rows for any number of
+    half-spaces. ``(x, r)`` are the dual values of its optimal basis.
+
+    Raises ``ValueError`` when the region holds arbitrarily large balls
+    (the origin is outside the normals' hull), and :class:`EmptyInterior`
+    when the optimal radius is <= 1e-9.
     """
-    n = h.dim
-    ineq = np.hstack([h.normals, np.ones((h.n_halfspaces, 1))])
-    cost = np.zeros(n + 1)
-    cost[-1] = -1.0  # maximize r
-    nonneg = np.zeros(n + 1, dtype=bool)
-    nonneg[-1] = True
-    sf = to_standard_form(cost, ineq_matrix=ineq, ineq_rhs=h.offsets, nonneg=nonneg)
-    outcome = lp_solve(sf.problem)
-    if outcome.status == UNBOUNDED:
+    problem = membership_problem(h.normals, np.zeros(h.dim), h.offsets)
+    outcome = lp_solve(problem)
+    if outcome.status == INFEASIBLE:
         raise ValueError("half-space region is unbounded")
     if outcome.status != OPTIMAL:
-        raise EmptyInterior("no feasible center found")
-    sol = sf.original_solution(outcome.solution)
-    center, radius = sol[:n], float(sol[n])
+        raise ArithmeticError("Chebyshev dual LP cannot be unbounded")
+    basis = list(outcome.basis)
+    # Least squares also covers a row lp_solve dropped as redundant (a slab).
+    dual = np.linalg.lstsq(problem.eq_matrix[:, basis].T, h.offsets[basis],
+                           rcond=None)[0]
+    center, radius = dual[:-1], float(dual[-1])
     if radius <= 1e-9:
         raise EmptyInterior(f"inscribed radius {radius:.2e} is not positive")
     return center

@@ -52,12 +52,17 @@ class MembershipResult:
     separator: Hyperplane | None = None
 
 
-def membership_problem(v: VRep, query) -> LpProblem:
-    """The feasibility LP whose solvability decides ``query in conv(V)``."""
-    query = as_vector(query, v.dim)
-    eq = np.vstack([v.points.T, np.ones((1, v.n_points))])
-    rhs = np.concatenate([query, [1.0]])
-    return LpProblem(np.zeros(v.n_points), eq, rhs)
+def membership_problem(points, query, cost=None) -> LpProblem:
+    """The LP ``min cost . y`` s.t. ``[P^T; 1] y = [query; 1]``, ``y >= 0``.
+
+    ``points`` holds one point per row. With no cost this is the
+    feasibility LP whose solvability decides ``query in conv(points)``;
+    every LP hullkit solves has this shape.
+    """
+    m, dim = points.shape
+    eq = np.vstack([points.T, np.ones((1, m))])
+    rhs = np.concatenate([as_vector(query, dim), [1.0]])
+    return LpProblem(np.zeros(m) if cost is None else cost, eq, rhs)
 
 
 def contains(v: VRep, query) -> MembershipResult:
@@ -69,7 +74,7 @@ def contains(v: VRep, query) -> MembershipResult:
     """
     if np.asarray(query, dtype=float).shape != (v.dim,):
         raise DimensionError(f"query must have dimension {v.dim}")
-    outcome = lp_solve(membership_problem(v, query))
+    outcome = lp_solve(membership_problem(v.points, query))
     if outcome.status == OPTIMAL:
         alpha = np.maximum(outcome.solution, 0.0)
         alpha /= alpha.sum()
@@ -92,12 +97,8 @@ def is_extreme(v: VRep, k: int) -> bool:
         raise IndexError(f"point index {k} out of range")
     if v.n_points == 1:
         return True
-    others = np.delete(np.arange(v.n_points), k)
-    pts = v.points[others]
-    eq = np.vstack([pts.T, np.ones((1, pts.shape[0]))])
-    rhs = np.concatenate([v.points[k], [1.0]])
-    outcome = lp_solve(LpProblem(np.zeros(pts.shape[0]), eq, rhs))
-    return outcome.status == INFEASIBLE
+    others = np.delete(v.points, k, axis=0)
+    return lp_solve(membership_problem(others, v.points[k])).status == INFEASIBLE
 
 
 def extreme_points(v: VRep) -> VRep:

@@ -181,3 +181,16 @@ def test_model_workflow_via_cli(tmp_path):
     code, stdout, _ = run_cli("contains", mpath, f"--query={inside}")
     assert code == 0
     assert stdout.startswith("inside")
+
+
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    from hullkit import cli
+
+    def fail(*args):
+        raise ArithmeticError("simplex exceeded 10 pivots")
+
+    vpath = str(tmp_path / "quad.vrep.json")
+    save_vrep(VRep(FIG_QUAD), vpath)
+    monkeypatch.setattr(cli, "contains", fail)
+    assert cli.main(["contains", vpath, "--query", "1,1"]) == 4
+    assert capsys.readouterr().err.startswith("error:")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hullkit import INFEASIBLE, OPTIMAL, UNBOUNDED, DimensionError, LpProblem, \
-    lp_solve, to_standard_form
+    lp_solve
 from hullkit.lp import _simplex
 from oracles import lp_oracle_min, min_grid_distance
 
@@ -28,6 +28,15 @@ def test_membership_system_infeasible_outside_triangle():
     y = out.farkas
     assert np.min(y @ eq) >= -1e-9
     assert y @ np.array([2.0, 2.0, 1.0]) < -1e-9
+
+
+def test_iteration_cap_is_arithmetic_error():
+    # The CLI maps ArithmeticError to its numerical-failure exit code.
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    eq = np.vstack([tri.T, np.ones(3)])
+    with pytest.raises(ArithmeticError):
+        lp_solve(LpProblem(np.zeros(3), eq, np.array([0.2, 0.2, 1.0])),
+                 max_iterations=1)
 
 
 def test_shape_validation():
@@ -118,29 +127,3 @@ def test_beale_cycling_lp_terminates():
     assert abs(c @ x - (-0.05)) <= 1e-12
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
-
-def test_standard_form_single_inequality():
-    sf = to_standard_form(np.array([1.0]), ineq_matrix=np.array([[1.0]]),
-                          ineq_rhs=np.array([1.0]))
-    assert sf.problem.n_vars == 2  # one slack added
-    assert sf.n_slacks == 1
-
-
-def test_standard_form_free_split():
-    sf = to_standard_form(np.array([1.0]), eq_matrix=np.array([[1.0]]),
-                          eq_rhs=np.array([-2.0]), nonneg=[False])
-    assert sf.problem.n_vars == 2  # x = x+ - x-
-    out = lp_solve(sf.problem)
-    assert out.status == OPTIMAL
-    x = sf.original_solution(out.solution)
-    np.testing.assert_allclose(x, [-2.0], atol=1e-9)
-
-
-def test_standard_form_equalities_unchanged():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([1.0, 2.0])
-    sf = to_standard_form(np.array([1.0, 1.0]), eq_matrix=a, eq_rhs=b)
-    assert sf.problem.n_vars == 2
-    assert sf.n_slacks == 0
-    np.testing.assert_array_equal(sf.problem.eq_matrix, a)
-    np.testing.assert_array_equal(sf.problem.eq_rhs, b)

@@ -232,8 +232,6 @@ def test_chebyshev_empty_interior():
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         SolveOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolveOptions(fd_step_min=1.0, fd_step_max=0.1)
 
 
 def test_fd_gradient_path_when_grad_absent():
@@ -262,3 +260,46 @@ def test_chebyshev_center_matches_highs_on_engine_hull():
                   bounds=[(None, None)] * hrep.dim + [(0.0, None)], method="highs")
     assert ref.status == 0
     assert clearance >= -ref.fun - 1e-9
+
+
+@pytest.mark.parametrize("normals, offsets, expected", [
+    ([[1, 0], [-1, 0]], [1, 0], ([0.5, 0.0], 0.5)),  # slab 0 <= x <= 1
+    ([[1, 0], [-1, 0], [0, -1]], [1, 0, 0], (None, 0.5)),  # half-strip
+    ([[1, 0]], [0], ValueError),  # half-plane
+    ([[1, 0], [-1, 0]], [0, -1], EmptyInterior),  # x <= 0 and x >= 1
+    ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
+     [1, 0, 1, 0, 0.5, -0.5], EmptyInterior),  # box of zero width in z
+])
+def test_chebyshev_edge_cases(normals, offsets, expected):
+    # expected is an exception type or (center, clearance); the half-strip's
+    # center is not unique.
+    from hullkit import HRep
+    h = HRep(np.array(normals, dtype=float), np.array(offsets, dtype=float))
+    if not isinstance(expected, tuple):
+        with pytest.raises(expected) as info:
+            chebyshev_center(h)
+        assert info.type is expected  # EmptyInterior is also a ValueError
+        return
+    center, clearance = expected
+    found = chebyshev_center(h)
+    if center is not None:
+        np.testing.assert_allclose(found, center, atol=1e-9)
+    assert abs(float(np.min(h.offsets - h.normals @ found)) - clearance) <= 1e-9
+
+
+def test_chebyshev_center_of_many_tangent_halfspaces():
+    # 20 000 half-spaces tangent to the unit 5-ball: the dual LP has 6 rows,
+    # where a primal tableau would need a dense 20 000 x 20 000 slack block.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    from hullkit import HRep
+    normals = np.random.default_rng(5).normal(size=(20000, 5))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    h = HRep(normals, np.ones(20000))
+    center = chebyshev_center(h)
+    clearance = float(np.min(h.offsets - h.normals @ center))
+    ref = linprog(np.r_[np.zeros(5), -1.0], A_ub=np.hstack([normals, np.ones((20000, 1))]),
+                  b_ub=h.offsets, bounds=[(None, None)] * 5 + [(0.0, None)],
+                  method="highs")
+    assert ref.status == 0
+    assert abs(clearance - -ref.fun) <= 1e-9
+    np.testing.assert_allclose(center, ref.x[:5], atol=1e-9)
