@@ -1,8 +1,9 @@
 """Constrained minimization over a hull in both representations.
 
 The vertex route reparameterizes the problem on the standard simplex
-(``x = sum_i alpha_i v_i``) and runs projected gradient or Frank-Wolfe; the
-half-space route runs a log-barrier method over ``A x <= b``. Extra
+(``x = sum_i alpha_i v_i``) and runs accelerated projected gradient (FISTA)
+until the Frank-Wolfe gap certifies the minimum; the half-space route runs
+a log-barrier method over ``A x <= b``. Extra
 inequality constraints ``g_j(x) >= 0`` are handled by a quadratic penalty
 whose weight is escalated over a few outer rounds.
 """
@@ -52,7 +53,10 @@ class SolveOptions:
     """Solver budgets and tolerances.
 
     ``max_fun_evals=None`` resolves to 20000 on the vertex route and 5000 on
-    the half-space route.
+    the half-space route. ``objective_tol`` bounds the relative Frank-Wolfe
+    gap, ``gap <= objective_tol * max(1, |f|)``, on the vertex route, and
+    the per-step drop of the barrier function on the half-space route, the
+    only route that reads ``step_tol``.
     """
 
     max_fun_evals: int | None = None
@@ -62,6 +66,8 @@ class SolveOptions:
     objective_tol: float = 1e-6
 
     def __post_init__(self):
+        if self.max_fun_evals is not None and self.max_fun_evals < 1:
+            raise ValueError("max_fun_evals must be at least 1")
         for name in ("max_iters", "step_tol", "constraint_tol", "objective_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -76,6 +82,7 @@ class SolveResult:
     elapsed: float
     converged: bool
     weights: Weights | None = None
+    gap: float | None = None
     trace: tuple = field(default=())
 
 
@@ -171,127 +178,104 @@ def _max_violation(cons, x) -> float:
     return max(0.0, max(-c.eval(x) for c in cons))
 
 
-def _proj_grad(fun, grad, alpha, opts, budget, trace, max_iters):
+def _fista(fun, grad, alpha, tol, budget, trace, max_iters):
+    """Accelerated projected gradient on the simplex from ``alpha``.
+
+    FISTA with a backtracking Lipschitz estimate (doubled until the quadratic
+    upper bound holds at the step, then shrunk by 0.9) and a momentum restart
+    whenever a step would raise the objective, so every accepted iterate is
+    feasible and no worse than the last. Stops once the Frank-Wolfe gap
+    ``g . alpha - min(g)`` at the accepted iterate is at most
+    ``tol * max(1, |f|)``. Returns ``(alpha, gap, iterations, converged)``.
+    """
     f_cur = fun(alpha)
     budget.spend()
-    best_x, best_f = alpha, f_cur
-    trace.append(best_f)
-    step = 1.0
+    g_cur = grad(alpha)
+    trace.append(f_cur)
+    prev, t, lip = alpha, 1.0, 1.0
     iters = 0
-    converged = False
-    for _ in range(max_iters):
+    while True:
+        gap = float(g_cur @ alpha - g_cur.min())
+        if gap <= tol * max(1.0, abs(f_cur)):
+            return alpha, gap, iters, True
+        if budget.exhausted or iters == max_iters:
+            return alpha, gap, iters, False
         iters += 1
-        g = grad(alpha)
-        accepted = False
-        while step > 1e-18:
-            cand = project_to_simplex(alpha - step * g).alpha
-            if not budget.spend():
-                break
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_next
+        y = alpha + beta * (alpha - prev)
+        if beta:
+            f_y, g_y = fun(y), grad(y)
+            budget.spend()
+        else:
+            f_y, g_y = f_cur, g_cur
+        while budget.spend():
+            cand = project_to_simplex(y - g_y / lip).alpha
+            step = cand - y
             f_new = fun(cand)
-            if f_new <= f_cur + _ARMIJO_C * float(g @ (cand - alpha)):
-                accepted = True
+            if f_new <= f_y + float(g_y @ step) + 0.5 * lip * float(step @ step):
                 break
-            step *= 0.5
+            lip *= 2.0
         if budget.exhausted:
-            break
-        if not accepted:
-            converged = True
-            break
-        move = float(np.max(np.abs(cand - alpha)))
-        drop = f_cur - f_new
-        alpha, f_cur = cand, f_new
-        if f_cur < best_f:
-            best_x, best_f = alpha, f_cur
-        trace.append(best_f)
-        step = min(step * 2.0, 1e12)
-        if move <= opts.step_tol or drop <= opts.objective_tol:
-            converged = True
-            break
-    return best_x, best_f, iters, converged
+            return alpha, gap, iters, False
+        if f_new > f_cur:
+            if not beta:  # a plain step from alpha cannot descend: rounding floor
+                return alpha, gap, iters, False
+            prev, t = alpha, 1.0
+            continue
+        prev, alpha, f_cur = alpha, cand, f_new
+        g_cur = grad(alpha)
+        trace.append(f_cur)
+        t = t_next
+        lip *= 0.9
 
 
-def _frank_wolfe(fun, grad, alpha, opts, budget, trace, max_iters):
-    f_cur = fun(alpha)
-    budget.spend()
-    best_x, best_f = alpha, f_cur
-    trace.append(best_f)
-    iters = 0
-    converged = False
-    for t in range(max_iters):
-        iters += 1
-        g = grad(alpha)
-        j = int(np.argmin(g))  # linear minimization over the simplex vertices
-        vertex = np.zeros_like(alpha)
-        vertex[j] = 1.0
-        gap = float(g @ (alpha - vertex))
-        if gap <= opts.objective_tol:
-            converged = True
-            break
-        gamma = 2.0 / (t + 2.0)
-        cand = (1.0 - gamma) * alpha + gamma * vertex
-        if not budget.spend():
-            break
-        f_new = fun(cand)
-        move = float(np.max(np.abs(cand - alpha)))
-        alpha, f_cur = cand, f_new
-        if f_cur < best_f:
-            best_x, best_f = alpha, f_cur
-        trace.append(best_f)
-        if move <= opts.step_tol:
-            converged = True
-            break
-    return best_x, best_f, iters, converged
-
-
-def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None,
-               method: str = "projgrad") -> SolveResult:
+def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize ``f`` over ``conv(V)`` via the simplex reparameterization.
 
-    ``method`` is ``"projgrad"`` (projected gradient with Armijo
-    backtracking) or ``"frankwolfe"`` (step 2/(t+2), vertex-scan linear
-    oracle). Starts from the barycenter. On budget exhaustion the best
-    iterate so far is returned with ``converged=False``.
+    The penalized objective is built in x-space (a missing gradient costs
+    2n evaluations by central differences) and pulled back through
+    ``x = V^T alpha`` once; FISTA then runs on the weights from the
+    barycenter, also evaluating ``f`` at extrapolated points that may lie
+    just outside the hull. The only stopping test is the Frank-Wolfe gap
+    ``g . alpha - min(g)``, returned as ``gap``: for a convex objective it
+    bounds how far the result lies above the minimum over the hull, and
+    ``converged=True`` means ``gap <= objective_tol * max(1, |objective|)``.
+    With constraints the gap certifies the penalized objective at the final
+    penalty weight, not the constrained problem. On budget or iteration
+    exhaustion the last (and best) iterate is returned with
+    ``converged=False``.
     """
     if opts is None:
         opts = SolveOptions()
-    if f.dim != v.dim:
-        raise DimensionError("objective dimension must match the point set")
     if v.n_points < 2:
         raise ValueError("need at least two points to optimize over")
-    if method not in ("projgrad", "frankwolfe"):
-        raise ValueError(f"unknown method {method!r}")
     cons = list(cons or [])
 
     t0 = time.perf_counter()
     budget = _Budget(opts.max_fun_evals if opts.max_fun_evals is not None else 20000)
-    ft = compose_objective(f, v)
-    cons_t = [Constraint(v.n_points, (lambda c: lambda a: c.eval(v.points.T @ a))(c))
-              for c in cons]
-
     alpha = np.full(v.n_points, 1.0 / v.n_points)
     trace: list[float] = []
-    inner = _proj_grad if method == "projgrad" else _frank_wolfe
     rho = _PENALTY_START
     iters_total = 0
-    converged = False
-    rounds = _PENALTY_ROUNDS if cons_t else 1
-    for _ in range(rounds):
-        fun, grad = _penalized(ft, cons_t, rho, budget)
-        alpha, f_val, iters, converged = inner(fun, grad, alpha, opts, budget,
-                                               trace, opts.max_iters)
+    for _ in range(_PENALTY_ROUNDS if cons else 1):
+        fun, grad = _penalized(f, cons, rho, budget)
+        ft = compose_objective(Objective(f.dim, fun, grad), v)
+        alpha, gap, iters, converged = _fista(ft.eval, ft.grad, alpha, opts.objective_tol,
+                                              budget, trace, opts.max_iters)
         iters_total += iters
-        if _max_violation(cons_t, alpha) <= opts.constraint_tol:
+        if _max_violation(cons, v.points.T @ alpha) <= opts.constraint_tol:
             break
         rho *= _PENALTY_GROWTH
 
-    if budget.exhausted:
-        converged = False
-    weights = Weights(alpha)
     x = v.points.T @ alpha
-    return SolveResult(minimizer=x, objective=float(ft.eval(alpha)),
-                       iterations=iters_total, fun_evals=budget.used,
-                       elapsed=time.perf_counter() - t0, converged=converged,
-                       weights=weights, trace=tuple(trace))
+    objective = float(f.eval(x))
+    converged = (converged and not budget.exhausted
+                 and gap <= opts.objective_tol * max(1.0, abs(objective)))
+    return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
+                       fun_evals=budget.used, elapsed=time.perf_counter() - t0,
+                       converged=converged, weights=Weights(alpha), gap=gap,
+                       trace=tuple(trace))
 
 
 def solve_hrep(f: Objective, cons, h: HRep, start,
@@ -323,7 +307,6 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
     rho = _PENALTY_START
     rounds = _PENALTY_ROUNDS if cons else 1
     best_x = x
-    converged = False
 
     for _ in range(rounds):
         fun0, grad0 = _penalized(f, cons, rho, budget)
@@ -352,7 +335,6 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
                 return -g
 
         per_round = max(1, opts.max_iters // len(mus))
-        converged = True
         for mu in mus:
             phi = barrier_val(x, mu)
             budget.spend()
@@ -391,10 +373,9 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
                     inner_done = True
                     break
             if budget.exhausted:
-                converged = False
                 break
-            if not inner_done:
-                converged = False
+        # Earlier barrier weights only warm-start the last one.
+        converged = inner_done
         best_x = x
         if _max_violation(cons, x) <= opts.constraint_tol:
             break
