@@ -181,7 +181,7 @@ def _cmd_optimize(args):
         x = res.minimizer if model is None else model.denormalize(res.minimizer)
         coords = ",".join(f"{c:.9g}" for c in x)
         print(f"{tag} objective {res.objective:.9g} minimizer {coords} "
-              f"elapsed {res.elapsed:.4f} s converged {res.converged}")
+              f"elapsed {res.elapsed:.4f} s converged {res.converged} gap {res.gap:.3g}")
 
     if args.route in ("vrep", "both"):
         report("vrep", solve_vrep(f, [], vrep))

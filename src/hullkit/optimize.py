@@ -3,9 +3,11 @@
 The vertex route reparameterizes the problem on the standard simplex
 (``x = sum_i alpha_i v_i``) and runs accelerated projected gradient (FISTA)
 until the Frank-Wolfe gap certifies the minimum; the half-space route runs
-a log-barrier method over ``A x <= b``. Extra
-inequality constraints ``g_j(x) >= 0`` are handled by a quadratic penalty
-whose weight is escalated over a few outer rounds.
+a Newton log-barrier method over ``A x <= b`` until a dual bound does. Each
+route returns its bound as ``SolveResult.gap``, which is only as exact as
+the gradient: a central difference when ``Objective.grad`` is missing.
+Extra inequality constraints ``g_j(x) >= 0`` are handled by a quadratic
+penalty whose weight is escalated over a few outer rounds.
 """
 
 from __future__ import annotations
@@ -50,25 +52,24 @@ class Constraint:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Solver budgets and tolerances.
+    """Solver budgets and tolerances, the same on both routes.
 
-    ``max_fun_evals=None`` resolves to 20000 on the vertex route and 5000 on
-    the half-space route. ``objective_tol`` bounds the relative Frank-Wolfe
-    gap, ``gap <= objective_tol * max(1, |f|)``, on the vertex route, and
-    the per-step drop of the barrier function on the half-space route, the
-    only route that reads ``step_tol``.
+    ``converged=True`` means ``gap <= objective_tol * max(1, |objective|)``
+    and no constraint violated by more than ``constraint_tol`` at the
+    minimizer. ``gap`` is the Frank-Wolfe gap on the vertex route and the
+    barrier's dual bound on the half-space route; with constraints it
+    certifies the penalized objective at the final penalty weight.
     """
 
-    max_fun_evals: int | None = None
+    max_fun_evals: int = 20000
     max_iters: int = 500
-    step_tol: float = 1e-6
     constraint_tol: float = 1e-6
     objective_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_fun_evals is not None and self.max_fun_evals < 1:
+        if self.max_fun_evals < 1:
             raise ValueError("max_fun_evals must be at least 1")
-        for name in ("max_iters", "step_tol", "constraint_tol", "objective_tol"):
+        for name in ("max_iters", "constraint_tol", "objective_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -81,8 +82,8 @@ class SolveResult:
     fun_evals: int
     elapsed: float
     converged: bool
+    gap: float
     weights: Weights | None = None
-    gap: float | None = None
     trace: tuple = field(default=())
 
 
@@ -178,6 +179,12 @@ def _max_violation(cons, x) -> float:
     return max(0.0, max(-c.eval(x) for c in cons))
 
 
+def _certified(converged, gap, objective, cons, x, budget, opts) -> bool:
+    return (converged and not budget.exhausted
+            and gap <= opts.objective_tol * max(1.0, abs(objective))
+            and _max_violation(cons, x) <= opts.constraint_tol)
+
+
 def _fista(fun, grad, alpha, tol, budget, trace, max_iters):
     """Accelerated projected gradient on the simplex from ``alpha``.
 
@@ -239,11 +246,9 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) ->
     barycenter, also evaluating ``f`` at extrapolated points that may lie
     just outside the hull. The only stopping test is the Frank-Wolfe gap
     ``g . alpha - min(g)``, returned as ``gap``: for a convex objective it
-    bounds how far the result lies above the minimum over the hull, and
-    ``converged=True`` means ``gap <= objective_tol * max(1, |objective|)``.
-    With constraints the gap certifies the penalized objective at the final
-    penalty weight, not the constrained problem. On budget or iteration
-    exhaustion the last (and best) iterate is returned with
+    bounds how far the result lies above the minimum over the hull
+    (``converged`` is as described in :class:`SolveOptions`). On budget or
+    iteration exhaustion the last (and best) iterate is returned with
     ``converged=False``.
     """
     if opts is None:
@@ -253,7 +258,7 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) ->
     cons = list(cons or [])
 
     t0 = time.perf_counter()
-    budget = _Budget(opts.max_fun_evals if opts.max_fun_evals is not None else 20000)
+    budget = _Budget(opts.max_fun_evals)
     alpha = np.full(v.n_points, 1.0 / v.n_points)
     trace: list[float] = []
     rho = _PENALTY_START
@@ -270,22 +275,87 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) ->
 
     x = v.points.T @ alpha
     objective = float(f.eval(x))
-    converged = (converged and not budget.exhausted
-                 and gap <= opts.objective_tol * max(1.0, abs(objective)))
     return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
                        fun_evals=budget.used, elapsed=time.perf_counter() - t0,
-                       converged=converged, weights=Weights(alpha), gap=gap,
-                       trace=tuple(trace))
+                       converged=_certified(converged, gap, objective, cons, x, budget, opts),
+                       gap=gap, weights=Weights(alpha), trace=tuple(trace))
+
+
+def _barrier(fun, grad, a_mat, b_vec, x, tol, budget, trace, max_iters):
+    """Newton log-barrier method on ``{x : A x <= b}`` from the interior ``x``.
+
+    Centres ``fun(x) - mu * sum(log s)``, ``s = b - A x``, by damped Newton
+    steps on the barrier Hessian ``H_b = mu A^T diag(1/s^2) A`` plus the
+    objective Hessian by central differences of ``grad``. Solving
+    ``H_b w = g`` for the full gradient ``g`` gives multipliers
+    ``y_i = (mu/s_i)(1 - a_i . w / s_i)`` with ``A^T y = -grad(x)``; when
+    ``y >= 0``, weak duality bounds ``fun(x) - min fun`` by ``y . s``,
+    otherwise the bound is ``inf``. At the central point it is ``F mu`` for F
+    half-spaces, so ``mu`` starts at 1 and shrinks tenfold once the bound is
+    at most ``2 F mu``, until it is at most ``tol * max(1, |fun|)``. Returns
+    ``(x, gap, iterations, converged)``.
+    """
+    n_half = a_mat.shape[0]
+    eye = _FD_STEP * np.eye(x.shape[0])
+    mu, iters = 1.0, 0
+    s = b_vec - a_mat @ x
+    f_cur = fun(x)
+    budget.spend()
+    g_f = grad(x)
+    trace.append(min(f_cur, trace[-1] if trace else math.inf))
+    while True:
+        g = g_f + mu * (a_mat.T @ (1.0 / s))
+        h_b = mu * (a_mat.T * (1.0 / (s * s))) @ a_mat
+        try:
+            slack = 1.0 - (a_mat @ np.linalg.solve(h_b, g)) / s
+            gap = mu * float(slack.sum()) if np.min(slack) >= 0.0 else math.inf
+        except np.linalg.LinAlgError:
+            gap = math.inf
+        if gap <= tol * max(1.0, abs(f_cur)):
+            return x, gap, iters, True
+        if budget.exhausted or iters == max_iters:
+            return x, gap, iters, False
+        if gap <= 2.0 * n_half * mu:
+            mu *= 0.1
+            continue
+        iters += 1
+        h_f = np.array([grad(x + e) - grad(x - e) for e in eye]) / (2.0 * _FD_STEP)
+        try:
+            d = -np.linalg.solve(h_b + 0.5 * (h_f + h_f.T), g)
+        except np.linalg.LinAlgError:
+            d = -g
+        slope = float(g @ d)
+        if not slope < 0.0:
+            d, slope = -g, -float(g @ g)
+        phi = f_cur - mu * float(np.log(s).sum())
+        step = 1.0
+        while True:
+            cand = x + step * d
+            s_new = b_vec - a_mat @ cand
+            if np.min(s_new) > 0.0:
+                if not budget.spend():
+                    return x, gap, iters, False
+                f_new = fun(cand)
+                if f_new - mu * float(np.log(s_new).sum()) <= phi + _ARMIJO_C * step * slope:
+                    break
+            step *= 0.5
+            if step <= 1e-18:  # no descent left at this precision
+                return x, gap, iters, False
+        x, s, f_cur = cand, s_new, f_new
+        g_f = grad(x)
+        trace.append(min(f_cur, trace[-1]))
 
 
 def solve_hrep(f: Objective, cons, h: HRep, start,
                opts: SolveOptions | None = None) -> SolveResult:
-    """Minimize ``f`` over ``{x : A x <= b}`` by a log-barrier method.
+    """Minimize ``f`` over ``{x : A x <= b}`` by a Newton log-barrier method.
 
-    The barrier weight follows the schedule 1 -> 1e-6 (factor 0.1 per outer
-    round); inner iterations are gradient descent with Armijo backtracking
-    that rejects steps leaving the domain. ``start`` must be strictly
-    interior.
+    ``start`` must be strictly interior. The only stopping test is the dual
+    bound of ``_barrier``, returned as ``gap``: for a convex objective
+    ``objective - min <= gap``. Without ``f.grad`` both the bound and the
+    Newton steps rest on central differences, about 4n^2 evaluations a step.
+    ``converged`` is as described in :class:`SolveOptions`; the trace holds
+    the best penalized objective seen so far.
     """
     if opts is None:
         opts = SolveOptions()
@@ -293,106 +363,30 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
         raise DimensionError("objective dimension must match the half-spaces")
     cons = list(cons or [])
     start = as_vector(start, h.dim)
-    a_mat, b_vec = h.normals, h.offsets
-    slacks = b_vec - a_mat @ start
-    if np.min(slacks) <= 1e-9:
+    if np.min(h.offsets - h.normals @ start) <= 1e-9:
         raise InfeasibleStart("start point is not strictly inside the region")
 
     t0 = time.perf_counter()
-    budget = _Budget(opts.max_fun_evals if opts.max_fun_evals is not None else 5000)
-    mus = [10.0 ** (-k) for k in range(7)]  # 1 ... 1e-6
+    budget = _Budget(opts.max_fun_evals)
     trace: list[float] = []
     x = start.copy()
-    iters_total = 0
     rho = _PENALTY_START
-    rounds = _PENALTY_ROUNDS if cons else 1
-    best_x = x
-
-    for _ in range(rounds):
-        fun0, grad0 = _penalized(f, cons, rho, budget)
-
-        def barrier_val(xx, mu, fun0=fun0):
-            s = b_vec - a_mat @ xx
-            if np.min(s) <= 0.0:
-                return np.inf
-            return fun0(xx) - mu * float(np.log(s).sum())
-
-        def barrier_grad(xx, mu, grad0=grad0):
-            s = b_vec - a_mat @ xx
-            return grad0(xx) + mu * (a_mat.T @ (1.0 / s))
-
-        def descent_dir(xx, g, mu):
-            # Scale by the (always available) barrier curvature. Plain
-            # gradient steps crawl once iterates approach a face, while the
-            # barrier Hessian mu * A' diag(1/s^2) A captures exactly the
-            # geometry that causes it; the objective part stays first-order.
-            s = b_vec - a_mat @ xx
-            hess = mu * (a_mat.T * (1.0 / (s * s))) @ a_mat
-            hess[np.diag_indices_from(hess)] += 1e-10 * (1.0 + np.trace(hess) / hess.shape[0])
-            try:
-                return -np.linalg.solve(hess, g)
-            except np.linalg.LinAlgError:
-                return -g
-
-        per_round = max(1, opts.max_iters // len(mus))
-        for mu in mus:
-            phi = barrier_val(x, mu)
-            budget.spend()
-            step = 1.0
-            inner_done = False
-            for _ in range(per_round):
-                iters_total += 1
-                g = barrier_grad(x, mu)
-                if float(np.linalg.norm(g)) <= 1e-14:
-                    inner_done = True
-                    break
-                d = descent_dir(x, g, mu)
-                slope = float(g @ d)
-                if slope >= 0.0:
-                    d, slope = -g, -float(g @ g)
-                step = min(1.0, step * 4.0)
-                accepted = False
-                while step > 1e-18:
-                    cand = x + step * d
-                    if not budget.spend():
-                        break
-                    phi_new = barrier_val(cand, mu)
-                    if phi_new <= phi + _ARMIJO_C * step * slope:
-                        accepted = True
-                        break
-                    step *= 0.5
-                if budget.exhausted or not accepted:
-                    inner_done = not accepted
-                    break
-                move = float(np.max(np.abs(cand - x)))
-                drop = phi - phi_new
-                x, phi = cand, phi_new
-                trace.append(f.eval(x))
-                budget.spend()
-                if move <= opts.step_tol or drop <= opts.objective_tol:
-                    inner_done = True
-                    break
-            if budget.exhausted:
-                break
-        # Earlier barrier weights only warm-start the last one.
-        converged = inner_done
-        best_x = x
+    iters_total = 0
+    for _ in range(_PENALTY_ROUNDS if cons else 1):
+        fun, grad = _penalized(f, cons, rho, budget)
+        x, gap, iters, converged = _barrier(fun, grad, h.normals, h.offsets, x,
+                                            opts.objective_tol, budget, trace,
+                                            opts.max_iters)
+        iters_total += iters
         if _max_violation(cons, x) <= opts.constraint_tol:
             break
         rho *= _PENALTY_GROWTH
 
-    if budget.exhausted:
-        converged = False
-    obj = float(f.eval(best_x))
-    # Track the best objective seen along the path, not the raw barrier value.
-    best_trace: list[float] = []
-    running = math.inf
-    for val in trace or [obj]:
-        running = min(running, val)
-        best_trace.append(running)
-    return SolveResult(minimizer=best_x, objective=obj, iterations=iters_total,
+    objective = float(f.eval(x))
+    return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
                        fun_evals=budget.used, elapsed=time.perf_counter() - t0,
-                       converged=converged, trace=tuple(best_trace))
+                       converged=_certified(converged, gap, objective, cons, x, budget, opts),
+                       gap=gap, trace=tuple(trace))
 
 
 def chebyshev_center(h: HRep) -> np.ndarray:

@@ -37,18 +37,19 @@ _CHUNK = 2048
 
 
 def _duplicate_rows(points) -> np.ndarray:
-    """Indices of rows that duplicate an earlier row within DISTINCT_EPS."""
-    m = points.shape[0]
-    dup = np.zeros(m, dtype=bool)
-    step = max(1, min(m, 128))  # chunked so the pairwise block stays small
-    for lo in range(0, m, step):
-        hi = min(m, lo + step)
-        dists = np.max(np.abs(points[lo:hi, None, :] - points[None, :, :]), axis=2)
-        close = dists <= DISTINCT_EPS
-        for i in range(hi - lo):
-            earlier = np.flatnonzero(close[i])
-            if earlier.size and earlier[0] < lo + i:
-                dup[lo + i] = True
+    """Indices of rows that duplicate an earlier row within DISTINCT_EPS.
+
+    Sort and sweep: a close pair is also close in the first coordinate, so
+    each row is compared only with the rows that follow it in that order
+    within DISTINCT_EPS, and the later input index of a close pair is marked.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    pts = points[order]
+    ends = np.searchsorted(pts[:, 0], pts[:, 0] + DISTINCT_EPS, side="right")
+    dup = np.zeros(points.shape[0], dtype=bool)
+    for i in np.flatnonzero(ends > np.arange(1, len(pts) + 1)):
+        close = np.max(np.abs(pts[i + 1:ends[i]] - pts[i]), axis=1) <= DISTINCT_EPS
+        dup[np.maximum(order[i], order[i + 1:ends[i]][close])] = True
     return np.flatnonzero(dup)
 
 

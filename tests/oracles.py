@@ -3,8 +3,9 @@
 Each oracle takes a deliberately different route from the code it checks:
 basis enumeration instead of simplex pivoting, lattice search instead of the
 sort-and-threshold projection, bisection on the KKT threshold instead of
-sorting, dense grid scans for small membership questions, and brute-force
-subset fitting instead of the ridge walk for facet enumeration.
+sorting, dense grid scans for small membership questions, brute-force
+subset fitting instead of the ridge walk for facet enumeration, and a scan
+of every pair of rows instead of the sort-and-sweep duplicate check.
 """
 
 import itertools
@@ -176,3 +177,12 @@ def bruteforce_facets(points, tol=1e-9):
     normals = np.array([a for a, _ in planes.values()])
     offsets = np.array([b * scale + a @ centre for a, b in planes.values()])
     return normals, offsets
+
+
+def pairwise_duplicate_rows(points, eps):
+    """Indices of rows within ``eps`` (max-norm) of an earlier row, found by
+    comparing every pair of rows."""
+    pts = np.asarray(points, dtype=float)
+    dists = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
+    earlier = np.tril(dists <= eps, k=-1)
+    return np.flatnonzero(earlier.any(axis=1))

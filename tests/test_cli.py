@@ -126,6 +126,9 @@ def test_optimize_vrep_route(tmp_path):
     assert lines[0].startswith("vrep objective")
     assert lines[1].startswith("hrep objective")
     assert float(lines[0].split()[2]) <= 1e-4  # target (1,1) is interior
+    for line in lines:
+        assert line.split()[-2] == "gap"
+        assert 0.0 <= float(line.split()[-1]) <= 1e-6
 
 
 def test_optimize_requires_one_source(tmp_path):

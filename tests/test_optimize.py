@@ -152,11 +152,12 @@ def test_solve_vrep_converged_means_gap_certificate():
         assert abs(res.gap - (g @ res.weights.alpha - g.min())) <= 1e-12, trial
 
 
-def _engine_model(seed, n_inputs, op):
+def _engine_model(seed, n_inputs, op, prune=True, normalize=True):
     from hullkit import build_boundary_model, group_by_operating_point, \
         synth_bsfc_objective, synth_engine_dataset
     key, block = group_by_operating_point(synth_engine_dataset(seed, n_inputs))[op]
-    model = build_boundary_model(block, range(n_inputs), prune=True, op_point_key=key)
+    model = build_boundary_model(block, range(n_inputs), prune=prune,
+                                 normalize=normalize, op_point_key=key)
     return model, model.map_objective(synth_bsfc_objective(seed, n_inputs, op))
 
 
@@ -195,15 +196,59 @@ def test_solve_vrep_gradient_free_differences_in_x_space():
 
 @pytest.mark.parametrize("op", [0, 2])
 def test_solve_hrep_converged_follows_final_barrier_round(op):
-    # Both hit the per-round cap at an early barrier weight, which only
-    # warm-starts the last one.
+    # A per-weight iteration cap once stopped both at a large barrier weight.
     model, f = _engine_model(3653403231, 4, op)
     ref = _slsqp_minimum(model.vrep.points, f)
     hrep = vrep_to_hrep(model.vrep).hrep
     res = solve_hrep(f, [], hrep, model.vrep.points.mean(axis=0))
     assert res.converged
-    assert res.gap is None
+    assert res.gap <= 1e-6 * max(1.0, abs(res.objective))
     assert abs(res.objective - ref) <= 1e-6
+
+
+@pytest.mark.parametrize("seed, op, prune, normalize", [
+    (1, 0, True, True), (1, 3, False, True), (2, 5, True, False),
+    (5, 1, False, False), (5, 6, True, True),
+])
+def test_solve_hrep_gap_certifies_minimum(seed, op, prune, normalize):
+    # The dual bound covers the distance to SLSQP's minimum and the
+    # Frank-Wolfe gap over the half-spaces, which LP duality puts below it.
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    model, f = _engine_model(seed, 4, op, prune, normalize)
+    ref = _slsqp_minimum(model.vrep.points, f)
+    hrep = vrep_to_hrep(model.vrep).hrep
+    res = solve_hrep(f, [], hrep, model.vrep.points.mean(axis=0))
+    assert res.converged
+    assert res.gap <= 1e-6 * max(1.0, abs(res.objective))
+    assert res.objective - ref <= res.gap
+    g = f.grad(res.minimizer)
+    lp = linprog(g, A_ub=hrep.normals, b_ub=hrep.offsets,
+                 bounds=[(None, None)] * hrep.dim, method="highs")
+    assert lp.status == 0
+    assert g @ res.minimizer - lp.fun <= res.gap
+
+
+def test_solve_hrep_gradient_free():
+    model, f = _engine_model(1, 4, 6)
+    ref = _slsqp_minimum(model.vrep.points, f)
+    hrep = vrep_to_hrep(model.vrep).hrep
+    res = solve_hrep(Objective(dim=f.dim, eval=f.eval), [], hrep,
+                     model.vrep.points.mean(axis=0))
+    assert res.fun_evals <= 1000
+    assert abs(res.objective - ref) <= 1e-6
+
+
+def test_converged_requires_feasibility_on_both_routes():
+    # The penalty leaves x0 about 0.0106 short of its bound after the last
+    # round; the gap certifies only the penalized objective.
+    model, f = _engine_model(1, 4, 2)
+    bound = float(np.quantile(model.vrep.points[:, 0], 0.7))
+    cons = [Constraint(dim=4, eval=lambda x: float(x[0] - bound))]
+    hrep = vrep_to_hrep(model.vrep).hrep
+    for res in (solve_vrep(f, cons, model.vrep),
+                solve_hrep(f, cons, hrep, model.vrep.points.mean(axis=0))):
+        assert bound - res.minimizer[0] > 1e-3
+        assert not res.converged
 
 
 def test_solve_vrep_penalty_constraint():

@@ -6,7 +6,8 @@ import pytest
 
 from hullkit import ConversionTimeout, DegenerateError, HRep, VRep, \
     contains, cross_polytope, random_point_set, unit_cube, vrep_to_hrep
-from oracles import bruteforce_facets
+from hullkit.polytope import DISTINCT_EPS, _duplicate_rows
+from oracles import bruteforce_facets, pairwise_duplicate_rows
 
 FIG_QUAD = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -189,6 +190,29 @@ def test_representation_equivalence_against_membership():
 def test_vrep_distinctness_enforced():
     with pytest.raises(ValueError):
         VRep(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]))
+
+
+def _near_duplicates():
+    # 60 rows planted 1e-13 from earlier rows (duplicates) and 20 planted
+    # 2e-12 away in one coordinate (distinct), shuffled among 200 others.
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1.0, 1.0, (200, 4))
+    near = base[rng.integers(0, 200, 60)] + 1e-13 * rng.choice([-1.0, 1.0], (60, 4))
+    apart = base[rng.integers(0, 200, 20)].copy()
+    apart[:, 1 + np.arange(20) % 3] += 2e-12
+    return rng.permutation(np.vstack([base, near, apart]))
+
+
+@pytest.mark.parametrize("points", [
+    np.random.default_rng(3).uniform(-1.0, 1.0, (400, 6)),
+    np.random.default_rng(4).integers(0, 3, (300, 3)).astype(float),  # exact repeats
+    np.array(list(itertools.product([0.0, 0.5, 1.0], repeat=4))),  # tied columns
+    unit_cube(6)[0].points,
+    _near_duplicates(),
+], ids=["random", "integer-repeats", "grid", "cube6", "near-duplicates"])
+def test_duplicate_rows_matches_pairwise_scan(points):
+    expect = pairwise_duplicate_rows(points, DISTINCT_EPS)
+    np.testing.assert_array_equal(_duplicate_rows(points), expect)
 
 
 def test_json_round_trip(tmp_path):
