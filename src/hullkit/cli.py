@@ -109,7 +109,9 @@ def _cmd_convert(args):
     out = args.out or args.vrep + ".hrep.json"
     save_hrep(report.hrep, out)
     print(f"facets {report.facet_count} elapsed {report.elapsed:.6f} s "
-          f"candidates {report.candidates_examined} {out}")
+          f"candidates {report.candidates_examined} ridges {report.ridges_walked} "
+          f"refit {report.simplices_refit} slivers {report.slivers_dropped} "
+          f"merged {report.facets_merged} {out}")
     return EXIT_OK
 
 

@@ -8,9 +8,13 @@ one supporting facet, the walk rotates the supporting hyperplane across each
 ridge to the neighbouring facet, so its cost follows the number of facets
 found rather than the C(m, n) subsets of the input. The walk runs on a
 deterministically perturbed copy of the points, which puts them in general
-position so that every facet it meets is a simplex. Each simplex is then
-refit on the original coordinates, and facets are identified by the set of
-input points on them, which merges coplanar simplices back into true facets.
+position so that every facet it meets is a simplex. It works in waves: each
+ridge is queued once, and up to ``_CHUNK`` queued ridges are pivoted
+together with one stacked QR, two matrix products for the angle terms and
+one row-wise argmax. Every simplex found is then fit once, in batches, on
+the original coordinates. A simplex whose plane holds no other input point
+is a facet as it stands; the larger on-sets of degenerate hulls, coplanar
+pieces of one true facet, are refit once each on all their points.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ DISTINCT_EPS = 1e-12
 # Facets whose (normal, offset) agree within this are merged.
 DEDUP_EPS = 1e-7
 
-# Simplices refit per batched SVD.
+# Ridges pivoted per wave of the walk, and simplices fit per batched SVD.
 _CHUNK = 2048
 
 
@@ -141,12 +145,21 @@ class HRep:
 
 @dataclass(frozen=True)
 class ConversionReport:
-    """Outcome of a V-to-H conversion with its cost counters."""
+    """Outcome of a V-to-H conversion with its cost counters.
+
+    ``facet_count == simplices_refit - slivers_dropped - facets_merged``:
+    every simplex the walk found is fit once, and is either dropped, folded
+    into a facet already found, or kept as a facet.
+    """
 
     hrep: HRep
     facet_count: int
     elapsed: float
     candidates_examined: int
+    ridges_walked: int
+    simplices_refit: int
+    slivers_dropped: int  # degenerate or non-supporting fits
+    facets_merged: int  # fits folded into a facet by on-set or DEDUP_EPS
 
     def __post_init__(self):
         if self.facet_count != self.hrep.n_halfspaces:
@@ -211,105 +224,108 @@ def _deadline_check(t0, deadline, candidates):
         raise ConversionTimeout(time.perf_counter() - t0, candidates)
 
 
-def _supporting_onsets(points, subsets, tol, t0, deadline, counter):
-    """Collect facet identities from the n-subsets of ``points`` in ``subsets``.
+def _fit_planes(points, pts, tol):
+    """Fit one outward hyperplane to each stack of k >= n points in ``pts`` (B, k, n).
 
-    ``subsets`` is an (S, n) index array. Each subset is fit with a hyperplane
-    (batched); a candidate survives iff all points lie on one side within
-    ``tol``. The facet identity is the frozen set of point indices on the
-    fitted hyperplane, which makes the dedup step exact.
+    A fit is kept iff its points lie on one hyperplane (smallest singular
+    value below ``GEOM_EPS``), span it (second smallest above), and every
+    row of ``points`` lies on its inner side within ``tol``. Returns the unit
+    normals, offsets, keep mask and the (m, B) mask of points on each plane.
     """
-    onsets = set()
-    for lo in range(0, len(subsets), _CHUNK):
-        idx = subsets[lo:lo + _CHUNK]
-        counter[0] += len(idx)
-        _deadline_check(t0, deadline, counter[0])
-
-        pts = points[idx]                      # (B, n, n)
-        diffs = pts[:, 1:, :] - pts[:, :1, :]  # (B, n-1, n)
-        _, sing, vt = np.linalg.svd(diffs)
-        normals = vt[:, -1, :]                 # (B, n)
-        nondegen = sing[:, -1] > GEOM_EPS * np.maximum(1.0, sing[:, 0])
-
-        side = points @ normals.T - np.einsum("bi,bi->b", normals, pts[:, 0, :])
-        mx = side.max(axis=0)
-        mn = side.min(axis=0)
-        keep = nondegen & ((mx <= tol) | (mn >= -tol))
-        for b in np.flatnonzero(keep):
-            onsets.add(frozenset(np.flatnonzero(np.abs(side[:, b]) <= tol).tolist()))
-    return onsets
+    ctr = pts.mean(axis=1)
+    _, sing, vt = np.linalg.svd(pts - ctr[:, None, :])
+    normals = vt[:, -1, :]
+    offsets = np.einsum("bi,bi->b", normals, ctr)
+    side = points @ normals.T - offsets
+    flip = side.mean(axis=0) > 0.0  # orient the centroid of ``points`` inward
+    normals[flip] *= -1.0
+    offsets[flip] *= -1.0
+    side[:, flip] *= -1.0
+    eps = GEOM_EPS * np.maximum(1.0, sing[:, 0])
+    keep = (sing[:, -1] <= eps) & (sing[:, -2] > eps) & (side.max(axis=0) <= tol)
+    return normals, offsets, keep, np.abs(side) <= tol
 
 
-def _facets_from_onsets(points, onsets, tol):
-    """Refit one oriented hyperplane per facet identity; drop non-supporting fits."""
-    interior = points.mean(axis=0)
-    planes = []
-    for onset in sorted(onsets, key=sorted):
-        idx = np.fromiter(sorted(onset), dtype=np.intp)
-        pts = points[idx]
-        ctr = pts.mean(axis=0)
-        _, sing, vt = np.linalg.svd(pts - ctr)
-        if sing[-1] > GEOM_EPS * max(1.0, sing[0]):
-            continue  # on-set does not actually lie on one hyperplane
-        normal = vt[-1]
-        offset = float(normal @ ctr)
-        if normal @ interior > offset:
-            normal, offset = -normal, -offset
-        side = points @ normal - offset
-        if side.max() > tol:
-            continue  # perturbation sliver, not a supporting hyperplane
-        planes.append((normal / np.linalg.norm(normal), offset))
+def _facets_from_simplices(points, simplices, tol, t0, deadline, counts):
+    """Fit every walked simplex once on the original coordinates; merge the fits.
 
-    planes.sort(key=lambda p: (tuple(np.round(p[0], 10)), round(p[1], 10)))
-    merged = []
-    for normal, offset in planes:
-        if merged:
-            pn, po = merged[-1]
-            if np.max(np.abs(pn - normal)) <= DEDUP_EPS and abs(po - offset) <= DEDUP_EPS:
-                continue
-        merged.append((normal, offset))
-    return merged
-
-
-def _pivot_ridge(pp, ridge, opp, a_old, scale):
-    """Rotate the supporting hyperplane across ``ridge`` away from vertex ``opp``.
-
-    Returns the index of the point first touched and the new outward normal.
+    A kept fit whose on-set (the points on its plane within ``tol``) is the
+    simplex itself is a facet. Each distinct larger on-set, the coplanar
+    pieces of one facet of a degenerate hull, is refit once on all its
+    points. Planes are then sorted by rounded (normal, offset), and each one
+    that repeats the last kept one within ``DEDUP_EPS`` is dropped. Returns
+    the (F, n + 1) array of unit normals and offsets.
     """
-    s0 = pp[ridge[0]]
-    if len(ridge) > 1:
-        q, _ = np.linalg.qr((pp[list(ridge[1:])] - s0).T)
-    else:
-        q = None
+    n = points.shape[1]
+    normals, offsets, onsets = [], [], []
+    for lo in range(0, len(simplices), _CHUNK):
+        idx = simplices[lo:lo + _CHUNK]
+        counts["candidates"] += len(idx)
+        _deadline_check(t0, deadline, counts["candidates"])
+        nrm, off, keep, on = _fit_planes(points, points[idx], tol)
+        whole = keep & (on.sum(axis=0) == n)
+        normals.append(nrm[whole])
+        offsets.append(off[whole])
+        onsets += [frozenset(np.flatnonzero(on[:, b]).tolist())
+                   for b in np.flatnonzero(keep & ~whole)]
+    distinct = sorted(set(onsets), key=sorted)
+    for onset in distinct:
+        nrm, off, keep, _ = _fit_planes(points, points[sorted(onset)][None], tol)
+        normals.append(nrm[keep])
+        offsets.append(off[keep])
+
+    planes = np.column_stack([np.concatenate(normals), np.concatenate(offsets)])
+    order = np.lexsort(planes.round(10).T[::-1])  # first normal column is the primary key
+    kept = []
+    for i in order.tolist():
+        if kept and np.max(np.abs(planes[kept[-1]] - planes[i])) <= DEDUP_EPS:
+            continue
+        kept.append(i)
+    counts["simplices_refit"] = len(simplices)
+    # Dropped: fits neither whole nor in an on-set, then on-sets whose refit fails.
+    counts["slivers_dropped"] = len(simplices) - len(onsets) + len(distinct) - len(planes)
+    counts["facets_merged"] = len(onsets) - len(distinct) + len(planes) - len(kept)
+    return planes[kept]
+
+
+def _pivot_ridges(pp, ridges, opp, a_old, scale):
+    """Rotate each supporting hyperplane across its ridge, away from its vertex.
+
+    ``ridges`` is a (B, n-1) index array, ``opp`` the (B,) vertices opposite
+    them and ``a_old`` the (B, n) outward normals of the facets they come
+    from. Returns the index of the point each rotation first touches and
+    the new outward normals.
+    """
+    rows = np.arange(len(ridges))
+    s0 = pp[ridges[:, 0]]
+    q, _ = np.linalg.qr(np.swapaxes(pp[ridges[:, 1:]] - s0[:, None, :], 1, 2))
     g = pp[opp] - s0
-    if q is not None:
-        g = g - q @ (q.T @ g)
-    g = g - (g @ a_old) * a_old
-    g = g / np.linalg.norm(g)
+    g -= np.einsum("bij,bj->bi", q, np.einsum("bij,bi->bj", q, g))
+    g -= np.einsum("bi,bi->b", g, a_old)[:, None] * a_old
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
 
-    w = pp - s0
-    ca = np.minimum(w @ a_old, 0.0)
-    cg = w @ g
+    ca = np.minimum(a_old @ pp.T - np.einsum("bi,bi->b", a_old, s0)[:, None], 0.0)
+    cg = g @ pp.T - np.einsum("bi,bi->b", g, s0)[:, None]
     theta = np.arctan2(-ca, cg)
-    theta[list(ridge)] = -1.0
-    theta[opp] = -1.0
+    theta[rows[:, None], ridges] = -1.0
+    theta[rows, opp] = -1.0
     theta[np.hypot(ca, cg) < 1e-13 * scale] = -1.0
 
-    j = int(np.argmax(theta))
-    r = math.hypot(ca[j], cg[j])
-    a_new = (ca[j] * g - cg[j] * a_old) / r
-    return j, a_new / np.linalg.norm(a_new)
+    j = np.argmax(theta, axis=1)
+    caj, cgj = ca[rows, j][:, None], cg[rows, j][:, None]
+    a_new = (caj * g - cgj * a_old) / np.hypot(caj, cgj)
+    return j, a_new / np.linalg.norm(a_new, axis=1, keepdims=True)
 
 
-def _initial_facet(pp, scale, t0, deadline, counter):
+def _initial_facet(pp, scale, t0, deadline, counts):
     """Grow a first supporting facet by repeated minimal-angle rotations."""
     m, n = pp.shape
     a = np.zeros(n)
     a[0] = 1.0
     chosen = [int(np.argmax(pp[:, 0]))]
     while len(chosen) < n:
-        counter[0] += 1
-        _deadline_check(t0, deadline, counter[0])
+        counts["candidates"] += 1
+        _deadline_check(t0, deadline, counts["candidates"])
         s0 = pp[chosen[0]]
         if len(chosen) > 1:
             q, _ = np.linalg.qr((pp[chosen[1:]] - s0).T)
@@ -338,58 +354,55 @@ def _initial_facet(pp, scale, t0, deadline, counter):
     return tuple(sorted(chosen)), a
 
 
-def _ridge_walk_onsets(points, tol, t0, deadline, counter):
-    """Facet identities via the ridge walk on deterministically perturbed points."""
+def _ridge_walk(points, t0, deadline, counts):
+    """Simplicial facets of the deterministically perturbed points, as an
+    (S, n) index array, walked in waves of up to ``_CHUNK`` ridges."""
     scale = max(1.0, float(np.max(np.abs(points))))
     rng = np.random.default_rng(987654321)
     pp = points + rng.uniform(-1.0, 1.0, points.shape) * (1e-9 * scale)
 
-    first, a0 = _initial_facet(pp, scale, t0, deadline, counter)
+    first, a0 = _initial_facet(pp, scale, t0, deadline, counts)
     facets = {first: a0}
-    done = set()
+    queued = set()
     queue = deque()
 
     def push(fkey):
         for pos, vertex in enumerate(fkey):
             ridge = fkey[:pos] + fkey[pos + 1:]
-            if ridge not in done:
+            if ridge not in queued:
+                queued.add(ridge)
                 queue.append((ridge, vertex, fkey))
 
     push(first)
-    ticks = 0
     while queue:
-        ridge, opp, owner = queue.popleft()
-        if ridge in done:
-            continue
-        done.add(ridge)
-        ticks += 1
-        if ticks % 64 == 0:
-            _deadline_check(t0, deadline, counter[0])
-        counter[0] += 1
-        j, a_new = _pivot_ridge(pp, ridge, opp, facets[owner], scale)
-        fkey = tuple(sorted(ridge + (j,)))
-        if fkey not in facets:
-            facets[fkey] = a_new
-            push(fkey)
-
-    # Refit every simplicial facet on the unperturbed coordinates; the shared
-    # on-set dedup collapses coplanar pieces back into true facets.
-    return _supporting_onsets(points, np.array(list(facets), dtype=np.intp),
-                              tol, t0, deadline, counter)
+        wave = [queue.popleft() for _ in range(min(_CHUNK, len(queue)))]
+        counts["candidates"] += len(wave)
+        _deadline_check(t0, deadline, counts["candidates"])
+        ridges, opp, owners = zip(*wave)
+        js, a_new = _pivot_ridges(pp, np.array(ridges, dtype=np.intp), np.array(opp),
+                                  np.array([facets[f] for f in owners]), scale)
+        for ridge, j, a in zip(ridges, js.tolist(), a_new):
+            fkey = tuple(sorted(ridge + (j,)))
+            if fkey not in facets:
+                facets[fkey] = a
+                push(fkey)
+    counts["ridges_walked"] = len(queued)
+    return np.array(list(facets), dtype=np.intp)
 
 
 def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionReport:
     """Enumerate the facets of ``conv(points)`` as an H-representation.
 
-    For n >= 2 the facets come from the ridge walk described in the module
-    docstring; for n == 1 they are the two extreme values. Every facet is
-    fit on the original coordinates, so its normal and offset do not
-    depend on the perturbation. ``candidates_examined`` counts the walk's
-    steps: one per step that grows the initial facet, one per ridge
-    pivoted, and one per simplicial facet refit on the original points
-    (m when n == 1). Raises
-    :class:`DegenerateError` if the hull is not full-dimensional and
-    :class:`ConversionTimeout` if ``deadline_s`` expires.
+    For n >= 2 the facets come from the wave-batched ridge walk described
+    in the module docstring, and every simplex it finds is fit once on the
+    original coordinates, so no normal or offset depends on the
+    perturbation; for n == 1 they are the two extreme values.
+    ``candidates_examined`` counts one per step that grows the initial
+    facet, one per ridge pivoted and one per simplex fit (m when n == 1);
+    the other counters of :class:`ConversionReport` split that work up.
+    Raises :class:`DegenerateError` if the hull is not full-dimensional and
+    :class:`ConversionTimeout` if ``deadline_s`` expires, which is checked
+    once per wave of ridges and once per batch of fits.
     """
     points = vrep.points
     m, n = points.shape
@@ -398,23 +411,20 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
     if affine_rank(points) < n:
         raise DegenerateError("hull is not full-dimensional")
 
-    scale = max(1.0, float(np.max(np.abs(points))))
-    tol = GEOM_EPS * scale
-    counter = [0]
-
+    tol = GEOM_EPS * max(1.0, float(np.max(np.abs(points))))
+    counts = dict.fromkeys(("candidates", "ridges_walked", "simplices_refit",
+                            "slivers_dropped", "facets_merged"), 0)
     if n == 1:
         vals = points[:, 0]
-        counter[0] = m
-        onsets = {
-            frozenset(np.flatnonzero(vals >= vals.max() - tol).tolist()),
-            frozenset(np.flatnonzero(vals <= vals.min() + tol).tolist()),
-        }
+        counts.update(candidates=m, simplices_refit=2)
+        planes = np.array([[1.0, vals.max()], [-1.0, -vals.min()]])
     else:
-        onsets = _ridge_walk_onsets(points, tol, t0, deadline, counter)
+        simplices = _ridge_walk(points, t0, deadline, counts)
+        planes = _facets_from_simplices(points, simplices, tol, t0, deadline, counts)
 
-    planes = _facets_from_onsets(points, onsets, tol)
-    hrep = HRep(np.array([p[0] for p in planes]), np.array([p[1] for p in planes]))
-    return ConversionReport(hrep, len(planes), time.perf_counter() - t0, counter[0])
+    hrep = HRep(planes[:, :-1], planes[:, -1])
+    return ConversionReport(hrep, len(planes), time.perf_counter() - t0,
+                            counts.pop("candidates"), **counts)
 
 
 def save_vrep(vrep: VRep, path) -> None:

@@ -54,6 +54,10 @@ def test_convert_and_contains(tmp_path):
     code, stdout, _ = run_cli("convert", vpath)
     assert code == 0
     assert stdout.startswith("facets 4 ")
+    words = stdout.split()
+    counters = {k: int(words[words.index(k) + 1])
+                for k in ("candidates", "ridges", "refit", "slivers", "merged")}
+    assert counters["refit"] - counters["slivers"] - counters["merged"] == 4
     hrep = load_hrep(vpath + ".hrep.json")
     assert hrep.n_halfspaces == 4
 

@@ -118,13 +118,27 @@ def test_conversion_matches_bruteforce_oracle(case):
     _assert_same_facets(got, expect, atol=1e-9)
 
 
-def test_conversion_matches_qhull_60x5():
+def _assert_matches_qhull(v):
+    """Same facets as Qhull within 1e-9, matched by max-norm nearest
+    neighbour in both directions (a k-d tree, as hulls here reach F ~ 7000)."""
     spatial = pytest.importorskip("scipy.spatial")
-    v = random_point_set(60, 5, seed=3)
     got = _facet_array(vrep_to_hrep(v).hrep)
     eq = spatial.ConvexHull(v.points).equations  # normal . x + c <= 0
     expect = np.hstack([eq[:, :-1], -eq[:, -1:]])
-    _assert_same_facets(got, expect, atol=1e-9)
+    assert got.shape == expect.shape
+    for a, b in ((got, expect), (expect, got)):
+        dist, _ = spatial.cKDTree(b).query(a, p=np.inf)
+        assert dist.max() <= 1e-9
+
+
+def test_conversion_matches_qhull_60x5():
+    # About 2 900 ridges: two waves of the walk.
+    _assert_matches_qhull(random_point_set(60, 5, seed=3))
+
+
+def test_conversion_matches_qhull_60x7():
+    # About 31 000 ridges: 16 waves of the walk.
+    _assert_matches_qhull(random_point_set(60, 7, seed=3))
 
 
 def test_facet_set_permutation_invariant():
@@ -136,6 +150,16 @@ def test_facet_set_permutation_invariant():
         other = _facet_array(vrep_to_hrep(shuffled).hrep)
         assert other.shape == base.shape
         np.testing.assert_allclose(other, base, atol=1e-7)
+
+
+@pytest.mark.parametrize("case", ["random22x4-seed0", "cube4-facet-centres", "cross4"])
+def test_facets_sorted_by_rounded_normal_then_offset(case):
+    # Reference order: a Python sort keyed on the normal and offset rounded
+    # to 10 digits, which the merge step's np.lexsort must reproduce.
+    hrep = vrep_to_hrep(VRep(ORACLE_CASES[case]())).hrep
+    keys = [(tuple(np.round(nrm, 10)), round(float(off), 10))
+            for nrm, off in zip(hrep.normals, hrep.offsets)]
+    assert keys == sorted(keys)
 
 
 def test_degenerate_rejected():
@@ -229,9 +253,26 @@ def test_json_round_trip(tmp_path):
 
 
 def test_conversion_report_counters():
-    v = random_point_set(12, 3, seed=8)
-    report = vrep_to_hrep(v)
-    # Every facet is refit from at least one simplex the walk found.
-    assert report.candidates_examined >= report.facet_count
-    assert report.elapsed >= 0.0
-    assert report.facet_count == report.hrep.n_halfspaces
+    for vrep in (random_point_set(12, 3, seed=8), unit_cube(4)[0]):
+        report = vrep_to_hrep(vrep)
+        # Every facet is refit from at least one simplex the walk found.
+        assert report.candidates_examined >= report.facet_count
+        assert report.elapsed >= 0.0
+        assert report.facet_count == report.hrep.n_halfspaces
+        # Every simplex walked is fit once and is dropped, merged or kept.
+        assert report.facet_count == (report.simplices_refit - report.slivers_dropped
+                                      - report.facets_merged)
+        # Candidates: n - 1 steps growing the initial facet, then one per ridge
+        # pivoted and one per simplex refit.
+        assert report.ridges_walked > 0
+        assert report.candidates_examined == (vrep.dim - 1 + report.ridges_walked
+                                              + report.simplices_refit)
+
+
+def test_conversion_cube5():
+    # Degenerate hull: the 1e-9 perturbation shatters each facet into many
+    # simplices, which the on-set refit and merge fold back into 10 facets.
+    report = vrep_to_hrep(unit_cube(5)[0], deadline_s=30)
+    assert report.facet_count == 10
+    _assert_same_facets(_facet_array(report.hrep), _facet_array(unit_cube(5)[1]), atol=1e-9)
+    assert report.slivers_dropped > 0 and report.facets_merged > 0
