@@ -9,8 +9,8 @@ from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpOutcome, LpProblem, lp_solve
 from .polytope import (ConversionReport, HRep, VRep, cross_polytope,
                        load_hrep, load_vrep, random_point_set, save_hrep,
                        save_vrep, unit_cube, vrep_to_hrep)
-from .queries import (MembershipResult, Weights, contains, extreme_points,
-                      is_extreme)
+from .queries import (MembershipResult, Weights, contains, extreme_mask,
+                      extreme_points, is_extreme)
 from .optimize import (Constraint, Objective, SolveOptions, SolveResult,
                        chebyshev_center, compose_objective, project_to_simplex,
                        solve_hrep, solve_vrep)
@@ -33,7 +33,7 @@ __all__ = [
     "UNBOUNDED", "VRep", "Weights", "affine_rank", "bench_conversion",
     "bench_membership", "bench_optimize", "build_boundary_model",
     "chebyshev_center", "compose_objective", "contains", "cross_polytope",
-    "emit_table", "extreme_points", "group_by_operating_point",
+    "emit_table", "extreme_mask", "extreme_points", "group_by_operating_point",
     "is_extreme", "load_csv", "load_hrep", "load_model", "load_vrep",
     "lp_solve", "project_to_simplex", "random_point_set", "save_csv",
     "save_hrep", "save_model", "save_vrep", "solve_hrep", "solve_vrep",

@@ -81,7 +81,9 @@ def bench_membership(grid, seeds: int = 3, queries_per_cell: int = 20,
     reported separately.
 
     Half the queries are random convex combinations of the points (inside by
-    construction); the other half are uniform in [-1, 1]^n.
+    construction); the other half are uniform in [-1, 1]^n. All queries of
+    one hull go to the same ``VRep``, so a query that an earlier one's basis
+    or separator settles is timed without an LP, as ``contains`` answers it.
     """
     rows = []
     half = max(1, queries_per_cell // 2)

@@ -23,7 +23,7 @@ from .errors import ConversionTimeout, DimensionError, HullkitError, ParseError,
 from .optimize import Objective, chebyshev_center, solve_hrep, solve_vrep
 from .polytope import VRep, cross_polytope, load_vrep, random_point_set, \
     save_hrep, save_vrep, unit_cube, vrep_to_hrep
-from .queries import contains, extreme_points
+from .queries import contains, extreme_mask, extreme_points
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -141,19 +141,18 @@ def _cmd_contains(args):
         else:
             res = target.contains(q)
         micros = (time.perf_counter() - t0) * 1e6
-        print(f"{'inside' if res.inside else 'outside'} {micros:.1f}us")
+        print(f"{'inside' if res.inside else 'outside'} {micros:.1f}us {res.source}")
     return EXIT_OK
 
 
 def _cmd_vertices(args):
     vrep = load_vrep(args.vrep)
-    pruned = extreme_points(vrep)
-    # The kept points are a subsequence of the input rows, in input order.
-    rows = iter(enumerate(vrep.points))
-    idx = [next(k for k, p in rows if np.array_equal(p, q)) for q in pruned.points]
+    mask, certified = extreme_mask(vrep)
+    idx = np.flatnonzero(mask).tolist()
     out = args.out or args.vrep + ".pruned.json"
-    save_vrep(pruned, out)
+    save_vrep(VRep(vrep.points[idx]), out)
     print(f"extreme {len(idx)} of {vrep.n_points}: {idx}")
+    print(f"certified {certified} lp {vrep.n_points - certified}")
     print(f"pruned vrep written to {out}")
     return EXIT_OK
 

@@ -8,13 +8,15 @@ one supporting facet, the walk rotates the supporting hyperplane across each
 ridge to the neighbouring facet, so its cost follows the number of facets
 found rather than the C(m, n) subsets of the input. The walk runs on a
 deterministically perturbed copy of the points, which puts them in general
-position so that every facet it meets is a simplex. It works in waves: each
-ridge is queued once, and up to ``_CHUNK`` queued ridges are pivoted
-together with one stacked QR, two matrix products for the angle terms and
-one row-wise argmax. Every simplex found is then fit once, in batches, on
-the original coordinates. A simplex whose plane holds no other input point
-is a facet as it stands; the larger on-sets of degenerate hulls, coplanar
-pieces of one true facet, are refit once each on all their points.
+position so that every facet it meets is a simplex; the points are centred
+on their centroid first, so the perturbation follows the hull's extent. It
+works in waves: each ridge is queued once, and up to ``_CHUNK`` queued
+ridges are pivoted together with one stacked QR, two matrix products for
+the angle terms and one row-wise argmax. Every simplex found is then fit
+once, in batches, on the unperturbed coordinates. A simplex whose plane
+holds no other input point is a facet as it stands; the larger on-sets of
+degenerate hulls, coplanar pieces of one true facet, are refit once each on
+all their points.
 """
 
 from __future__ import annotations
@@ -395,8 +397,10 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
 
     For n >= 2 the facets come from the wave-batched ridge walk described
     in the module docstring, and every simplex it finds is fit once on the
-    original coordinates, so no normal or offset depends on the
-    perturbation; for n == 1 they are the two extreme values.
+    unperturbed points, so no normal or offset depends on the perturbation.
+    Both run on the points minus their centroid, so the perturbation and
+    the on-plane tolerance scale with the hull's extent, not with its
+    distance from the origin; for n == 1 they are the two extreme values.
     ``candidates_examined`` counts one per step that grows the initial
     facet, one per ridge pivoted and one per simplex fit (m when n == 1);
     the other counters of :class:`ConversionReport` split that work up.
@@ -411,7 +415,6 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
     if affine_rank(points) < n:
         raise DegenerateError("hull is not full-dimensional")
 
-    tol = GEOM_EPS * max(1.0, float(np.max(np.abs(points))))
     counts = dict.fromkeys(("candidates", "ridges_walked", "simplices_refit",
                             "slivers_dropped", "facets_merged"), 0)
     if n == 1:
@@ -419,8 +422,14 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
         counts.update(candidates=m, simplices_refit=2)
         planes = np.array([[1.0, vals.max()], [-1.0, -vals.min()]])
     else:
-        simplices = _ridge_walk(points, t0, deadline, counts)
-        planes = _facets_from_simplices(points, simplices, tol, t0, deadline, counts)
+        # Walk and fit on centred points, so that the perturbation and tol
+        # follow the hull's extent, not its distance from the origin.
+        centroid = points.mean(axis=0)
+        centred = points - centroid
+        tol = GEOM_EPS * max(1.0, float(np.max(np.abs(centred))))
+        simplices = _ridge_walk(centred, t0, deadline, counts)
+        planes = _facets_from_simplices(centred, simplices, tol, t0, deadline, counts)
+        planes[:, -1] += planes[:, :-1] @ centroid
 
     hrep = HRep(planes[:, :-1], planes[:, -1])
     return ConversionReport(hrep, len(planes), time.perf_counter() - t0,

@@ -62,12 +62,13 @@ def test_convert_and_contains(tmp_path):
     assert hrep.n_halfspaces == 4
 
     code, stdout, _ = run_cli("contains", vpath, "--query", "1,1",
-                              "--query", "5,5")
+                              "--query", "5,5", "--query", "1.5,1", "--query", "5,6")
     assert code == 0
-    lines = stdout.strip().splitlines()
-    assert lines[0].startswith("inside")
-    assert lines[1].startswith("outside")
-    assert lines[0].endswith("us")
+    lines = [line.split() for line in stdout.strip().splitlines()]
+    assert [words[0] for words in lines] == ["inside", "outside", "inside", "outside"]
+    assert all(len(words) == 3 and words[1].endswith("us") for words in lines)
+    # The first answers take an LP; the repeats are settled by their certificates.
+    assert [words[2] for words in lines] == ["lp", "lp", "basis", "separator"]
 
 
 def test_contains_cube_queries(tmp_path):
@@ -115,7 +116,12 @@ def test_vertices(tmp_path):
     save_vrep(VRep(FIG_QUAD), vpath)
     code, stdout, _ = run_cli("vertices", vpath)
     assert code == 0
-    assert "extreme 4 of 5" in stdout
+    assert "extreme 4 of 5: [0, 1, 2, 4]" in stdout
+    words = stdout.split()
+    certified = int(words[words.index("certified") + 1])
+    lp = int(words[words.index("lp") + 1])
+    assert certified + lp == 5
+    assert lp >= 1  # the interior point (1, 1) needs an LP
     pruned = load_vrep(vpath + ".pruned.json")
     assert pruned.n_points == 4
 

@@ -131,6 +131,53 @@ def _assert_matches_qhull(v):
         assert dist.max() <= 1e-9
 
 
+@pytest.mark.parametrize("shift", [1e3, 1e6, 1e7])
+def test_conversion_matches_qhull_far_from_origin(shift):
+    # The walk's perturbation and tol must follow the hull's extent (about
+    # 2 here), not its distance from the origin; offsets are compared
+    # relative to the shift.
+    spatial = pytest.importorskip("scipy.spatial")
+    points = random_point_set(40, 4, seed=1).points + shift
+    got = _facet_array(vrep_to_hrep(VRep(points)).hrep)
+    eq = spatial.ConvexHull(points).equations
+    expect = np.hstack([eq[:, :-1], -eq[:, -1:]])
+    got[:, -1] /= shift
+    expect[:, -1] /= shift
+    assert got.shape == expect.shape == (129, 5)
+    for a, b in ((got, expect), (expect, got)):
+        dist, _ = spatial.cKDTree(b).query(a, p=np.inf)
+        assert dist.max() <= 1e-9
+
+
+def _cube4_with_near_facet_points(depth, shift):
+    """The unit 4-cube plus 6 random points per facet, ``depth`` inside it."""
+    rng = np.random.default_rng(4)
+    extra = []
+    for axis in range(4):
+        for side in (0.0, 1.0):
+            pts = rng.uniform(0.1, 0.9, (6, 4))
+            pts[:, axis] = side + depth if side == 0.0 else side - depth
+            extra.append(pts)
+    return np.vstack([unit_cube(4)[0].points] + extra) + shift
+
+
+@pytest.mark.parametrize("depth", [1e-6, 1e-7])
+@pytest.mark.parametrize("shift", [0.0, 1e3])
+def test_conversion_near_facet_points(depth, shift):
+    # The near-facet points are interior, so the facets are exactly the
+    # cube's 8. A perturbation as large as ``depth`` would make them hull
+    # points and lose facets; this pins the walk's amplitude below 1e-7 of
+    # the hull's extent, wherever the hull sits.
+    report = vrep_to_hrep(VRep(_cube4_with_near_facet_points(depth, shift)))
+    cube = unit_cube(4)[1]
+    expect = np.hstack([cube.normals, (cube.offsets + cube.normals.sum(axis=1) * shift)[:, None]])
+    got = _facet_array(report.hrep)
+    got[:, -1] /= max(1.0, shift)  # offsets relative to the data's magnitude
+    expect[:, -1] /= max(1.0, shift)
+    assert report.facet_count == 8
+    _assert_same_facets(got, expect, atol=1e-9)
+
+
 def test_conversion_matches_qhull_60x5():
     # About 2 900 ridges: two waves of the walk.
     _assert_matches_qhull(random_point_set(60, 5, seed=3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullkit import VRep, contains, cross_polytope, extreme_points, \
+from hullkit import VRep, contains, cross_polytope, extreme_mask, extreme_points, \
     is_extreme, random_point_set, unit_cube, vrep_to_hrep
 from hullkit.errors import DimensionError
 from oracles import min_grid_distance
@@ -142,3 +142,56 @@ def test_scale_robustness():
     for q in rng.uniform(-1.5, 1.5, (50, 3)):
         assert contains(v, q).inside == contains(big, q * 1e3).inside
 
+
+
+def test_repeat_queries_answered_from_certificates():
+    v = random_point_set(40, 4, seed=3)
+    first = contains(v, np.zeros(4))
+    assert first.inside and first.source == "lp"
+    again = contains(v, np.full(4, 1e-3))  # inside the same basis simplex
+    assert again.inside and again.source == "basis"
+    np.testing.assert_allclose(v.points.T @ again.weights.alpha, np.full(4, 1e-3),
+                               atol=1e-12)
+    far = contains(v, np.full(4, 3.0))
+    assert not far.inside and far.source == "lp"
+    farther = contains(v, np.full(4, 4.0))
+    assert not farther.inside and farther.source == "separator"
+    np.testing.assert_array_equal(farther.separator.normal, far.separator.normal)
+    assert farther.separator.offset == far.separator.offset
+    _assert_certificate(v, [4.0, 4.0, 4.0, 4.0], farther)
+    # A fresh hull with the same points starts with no certificates.
+    assert contains(VRep(v.points), np.full(4, 4.0)).source == "lp"
+
+
+def test_separator_cache_is_bounded():
+    from hullkit.queries import _SEPARATORS, _certificates
+    v = random_point_set(30, 3, seed=2)
+    solved = 0
+    for p in extreme_points(v).points:  # just beyond each vertex
+        res = contains(v, 1.05 * p)
+        assert not res.inside
+        _assert_certificate(v, 1.05 * p, res)
+        solved += res.source == "lp"
+    assert solved > _SEPARATORS
+    cache = _certificates(v)
+    assert cache.separators[0].shape == (_SEPARATORS, 3)
+    assert cache.separators[1].shape == (_SEPARATORS,)
+
+
+def test_extreme_mask_counts_separator_certificates():
+    mask, certified = extreme_mask(VRep(FIG_QUAD))
+    assert mask.tolist() == [True, True, True, False, True]
+    assert certified == 4  # only the interior point (1, 1) takes an LP
+    mask, certified = extreme_mask(unit_cube(3)[0])
+    assert mask.all() and certified == 8
+
+
+def test_separator_hit_needs_margin_beyond_tau():
+    v = random_point_set(40, 4, seed=3)
+    far = contains(v, np.full(4, 3.0))
+    assert not far.inside
+    # The vertex that attains the stored separator's offset lies on its
+    # plane, inside the LP's band, so the separator must not answer for it.
+    support = v.points[np.argmax(v.points @ far.separator.normal)]
+    res = contains(v, support)
+    assert res.inside and res.source == "lp"
