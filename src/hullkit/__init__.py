@@ -1,5 +1,9 @@
 """hullkit: hull representations, LP membership tests, and hull-constrained
-optimization with a benchmarking CLI."""
+optimization with a benchmarking CLI.
+
+Every result type that holds an array compares and hashes by identity, so
+``==`` never raises; compare values with ``np.array_equal`` on the fields.
+"""
 
 from .errors import (ConversionTimeout, DegenerateError, DimensionError,
                      EmptyInterior, HullkitError, InfeasibleStart, ParseError,

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DegenerateError, ParseError, SchemaError, TooFewPoints
 from .linalg import affine_rank, as_vector
 from .optimize import Objective
-from .polytope import HRep, VRep
+from .polytope import HRep, VRep, _read_json
 from .queries import MembershipResult, contains, extreme_points
 
 SCHEMA_VERSION = 1
@@ -49,8 +49,11 @@ _OP_POINTS = ((1000.0, 60.0), (1250.0, 95.0), (1500.0, 130.0), (1750.0, 160.0),
 
 _ROWS_PER_OP = 125
 
+# Box queries that re-check a cached H-representation against the hull.
+_VALIDATION_QUERIES = 16
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Numeric table with named columns and designated operating-point columns."""
 
@@ -138,7 +141,7 @@ def group_by_operating_point(dataset: Dataset):
     return groups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryModel:
     """Convex-hull boundary model for one operating point.
 
@@ -202,12 +205,12 @@ class BoundaryModel:
 
         return Objective(dim=f.dim, eval=fun, grad=grad)
 
-    def with_cached_hrep(self, hrep: HRep, n_queries: int = 16) -> "BoundaryModel":
+    def with_cached_hrep(self, hrep: HRep) -> "BoundaryModel":
         """Attach an H-representation plus the queries used to re-validate it."""
         if hrep.dim != self.vrep.dim:
             raise ValueError("cached H-rep dimension mismatch")
         rng = np.random.default_rng(941_259_731)
-        box = rng.uniform(-1.2, 1.2, (n_queries, self.vrep.dim))
+        box = rng.uniform(-1.2, 1.2, (_VALIDATION_QUERIES, self.vrep.dim))
         queries = [row for row in box]
         _check_hrep_agreement(self.vrep, hrep, queries)
         return replace(self, cached_hrep=hrep, validation_queries=tuple(queries))
@@ -354,12 +357,8 @@ def save_model(model: BoundaryModel, path) -> None:
 
 def load_model(path) -> BoundaryModel:
     """Load and re-validate a model written by :func:`save_model`."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid model file: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+    doc = _read_json(path)
+    if doc.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
     try:
         model = BoundaryModel(
@@ -373,8 +372,8 @@ def load_model(path) -> BoundaryModel:
             validation_queries=tuple(np.asarray(q, dtype=float)
                                      for q in doc.get("validation_queries", [])),
         )
-    except KeyError as exc:
-        raise SchemaError(f"model file is missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"malformed model file: {exc!r}") from exc
     if model.cached_hrep is not None:
         _check_hrep_agreement(model.vrep, model.cached_hrep, model.validation_queries)
     return model

@@ -9,20 +9,18 @@ simplex iteration cap).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 
 import numpy as np
 
 from . import bench as bench_mod
-from .boundary import load_model, save_csv, save_model, synth_engine_dataset, \
-    build_boundary_model, group_by_operating_point
+from .boundary import load_model, save_csv, synth_engine_dataset
 from .errors import ConversionTimeout, DimensionError, HullkitError, ParseError, \
     SchemaError
 from .optimize import Objective, chebyshev_center, solve_hrep, solve_vrep
-from .polytope import VRep, cross_polytope, load_vrep, random_point_set, \
-    save_hrep, save_vrep, unit_cube, vrep_to_hrep
+from .polytope import VRep, _read_json, cross_polytope, load_vrep, \
+    random_point_set, save_hrep, save_vrep, unit_cube, vrep_to_hrep
 from .queries import contains, extreme_mask, extreme_points
 
 EXIT_OK = 0
@@ -61,9 +59,8 @@ def _emit(args, rows):
 
 def _load_queryable(path):
     """Load either a plain VRep JSON or a boundary-model JSON."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if isinstance(doc, dict) and "schema_version" in doc:
+    doc = _read_json(path)
+    if "schema_version" in doc:
         return load_model(path)
     return VRep.from_dict(doc)
 
@@ -226,11 +223,11 @@ def _build_parser():
                                                  "tests, and hull-constrained optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, timeout=False, table=False):
-        p.add_argument("--seed", type=int, default=0)
+    def common(p, timeout=False, bench=False):
         if timeout:
             p.add_argument("--timeout-s", type=float, default=60.0)
-        if table:
+        if bench:
+            p.add_argument("--seed", type=int, default=0)
             p.add_argument("--format", choices=("csv", "markdown"), default="csv")
             p.add_argument("--out", default=None)
 
@@ -240,7 +237,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--inputs", type=int, choices=(4, 7, 9), default=4)
     p.add_argument("--out", default=None)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("convert", help="enumerate facets of a point-set hull "
@@ -254,13 +251,11 @@ def _build_parser():
     p.add_argument("path")
     p.add_argument("--query", type=_parse_point, action="append")
     p.add_argument("--queries-csv", default=None)
-    common(p)
     p.set_defaults(func=_cmd_contains)
 
     p = sub.add_parser("vertices", help="classify extreme points and write the pruned hull")
     p.add_argument("vrep")
     p.add_argument("--out", default=None)
-    common(p)
     p.set_defaults(func=_cmd_vertices)
 
     p = sub.add_parser("optimize", help="minimize a quadratic target distance over a hull")
@@ -275,21 +270,21 @@ def _build_parser():
     p = sub.add_parser("bench-conversion", help="facet-enumeration timing table")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--seeds", type=int, default=3)
-    common(p, timeout=True, table=True)
+    common(p, timeout=True, bench=True)
     p.set_defaults(func=_cmd_bench_conversion)
 
     p = sub.add_parser("bench-membership", help="LP-membership timing table")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--queries", type=int, default=20)
-    common(p, table=True)
+    common(p, bench=True)
     p.set_defaults(func=_cmd_bench_membership)
 
     p = sub.add_parser("bench-optimize", help="per-operating-point optimization table")
     p.add_argument("--inputs", type=int, choices=(4, 7, 9), required=True)
     p.add_argument("--prune", action="store_true")
     p.add_argument("--no-normalize", action="store_true")
-    common(p, timeout=True, table=True)
+    common(p, timeout=True, bench=True)
     p.set_defaults(func=_cmd_bench_optimize)
 
     return parser

@@ -42,13 +42,9 @@ def as_matrix(a, rows=None, cols=None) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hyperplane:
-    """Half-space boundary ``normal . x <= offset`` with a unit normal.
-
-    Normals are stored normalized so that equal half-spaces compare
-    coefficient-wise.
-    """
+    """Half-space boundary ``normal . x <= offset`` with a unit normal."""
 
     normal: np.ndarray
     offset: float

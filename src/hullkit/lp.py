@@ -38,7 +38,7 @@ _DEGEN_EPS = 1e-12
 _DEGEN_RUN = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """``min cost . x`` subject to ``eq_matrix x = eq_rhs`` and ``x >= 0``."""
 
@@ -56,16 +56,8 @@ class LpProblem:
         object.__setattr__(self, "cost", c)
         object.__setattr__(self, "eq_rhs", b)
 
-    @property
-    def n_rows(self) -> int:
-        return self.eq_matrix.shape[0]
 
-    @property
-    def n_vars(self) -> int:
-        return self.eq_matrix.shape[1]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpOutcome:
     status: str
     solution: np.ndarray | None = None

@@ -74,7 +74,7 @@ class SolveOptions:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     minimizer: np.ndarray
     objective: float

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionTimeout, DegenerateError
+from .errors import ConversionTimeout, DegenerateError, ParseError, SchemaError
 from .linalg import GEOM_EPS, affine_rank, as_matrix, as_vector
 
 # Points closer than this in max-norm count as duplicates.
@@ -65,7 +65,7 @@ def _check_distinct(points):
         raise ValueError(f"points must be pairwise distinct; index {dups[0]} has a duplicate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VRep:
     """Convex hull of a finite set of pairwise-distinct points (rows)."""
 
@@ -93,12 +93,15 @@ class VRep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VRep":
-        pts = as_matrix(np.atleast_2d(np.asarray(data["points"], dtype=float)),
-                        cols=int(data["dim"]))
-        return cls(pts)
+        try:
+            dim = int(data["dim"])
+            pts = np.atleast_2d(np.asarray(data["points"], dtype=float))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed vrep document: {exc!r}") from exc
+        return cls(as_matrix(pts, cols=dim))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HRep:
     """Intersection of half-spaces ``normal_i . x <= offset_i`` (unit normals)."""
 
@@ -139,13 +142,16 @@ class HRep:
 
     @classmethod
     def from_dict(cls, data: dict) -> "HRep":
-        dim = int(data["dim"])
-        normals = np.array([h["normal"] for h in data["halfspaces"]], dtype=float)
-        offsets = np.array([h["offset"] for h in data["halfspaces"]], dtype=float)
+        try:
+            dim = int(data["dim"])
+            normals = np.array([h["normal"] for h in data["halfspaces"]], dtype=float)
+            offsets = np.array([h["offset"] for h in data["halfspaces"]], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed hrep document: {exc!r}") from exc
         return cls(as_matrix(normals, cols=dim), offsets)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConversionReport:
     """Outcome of a V-to-H conversion with its cost counters.
 
@@ -436,14 +442,26 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
                             counts.pop("candidates"), **counts)
 
 
+def _read_json(path) -> dict:
+    """The JSON object in ``path``: :class:`ParseError` if the file is not
+    JSON, :class:`SchemaError` if the document is not an object."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path} holds a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
 def save_vrep(vrep: VRep, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(vrep.to_dict(), fh)
 
 
 def load_vrep(path) -> VRep:
-    with open(path, encoding="utf-8") as fh:
-        return VRep.from_dict(json.load(fh))
+    return VRep.from_dict(_read_json(path))
 
 
 def save_hrep(hrep: HRep, path) -> None:
@@ -452,5 +470,4 @@ def save_hrep(hrep: HRep, path) -> None:
 
 
 def load_hrep(path) -> HRep:
-    with open(path, encoding="utf-8") as fh:
-        return HRep.from_dict(json.load(fh))
+    return HRep.from_dict(_read_json(path))

@@ -21,7 +21,10 @@ shortcut gives the LP's answer:
   their bounding box and, once a query falls in that box, the inverse of
   their columns) and a bounded list of recent outside separators.
   ``B^-1 [q; 1] >= 0`` makes the query inside with those weights; a stored
-  separator that ``q`` exceeds by more than ``tau`` makes it outside.
+  separator that ``q`` exceeds by more than ``tau`` makes it outside. This
+  module holds the cache weakly, keyed by the ``VRep`` object itself, so it
+  goes away with the hull, and a hull rebuilt from the same points starts
+  with an empty cache.
 * ``extreme_points`` certifies point k extreme with no LP when the linear
   function ``c_k = v_k - mean(V)`` puts it above every other point by more
   than ``tau * |c_k|`` (Dula & Helgason 1996); only the rest take an LP.
@@ -29,6 +32,7 @@ shortcut gives the LP's answer:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,7 @@ _SEPARATORS = 8
 _BLOCK = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """A point on the standard simplex: alpha >= 0, sum(alpha) = 1."""
 
@@ -66,7 +70,7 @@ class Weights:
         return self.alpha.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipResult:
     """A membership answer and its certificate.
 
@@ -169,13 +173,14 @@ class _Certificates:
                            np.concatenate(([sep.offset], offsets[:_SEPARATORS - 1])))
 
 
+# Each hull's certificates, made on its first query and dropped with the hull.
+_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _certificates(v: VRep) -> _Certificates:
-    """The hull's certificate cache, made on its first query. It is not a
-    dataclass field, so it takes no part in equality or construction."""
-    cache = vars(v).get("_certificates")
+    cache = _CACHES.get(v)
     if cache is None:
-        cache = _Certificates(v.points)
-        object.__setattr__(v, "_certificates", cache)
+        cache = _CACHES[v] = _Certificates(v.points)
     return cache
 
 
@@ -189,7 +194,8 @@ def contains(v: VRep, query) -> MembershipResult:
     more than the LP's band tau); otherwise one LP runs and its basis or
     separator is remembered. So the inside/outside answer does not depend on
     earlier queries for a query farther than tau from the boundary, but the
-    weights or the separator returned may.
+    weights or the separator returned may. The certificates belong to this
+    ``v`` object: ``VRep(v.points)`` starts without them.
     """
     q = as_vector(query, v.dim)
     cache = _certificates(v)

@@ -207,3 +207,37 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "contains", fail)
     assert cli.main(["contains", vpath, "--query", "1,1"]) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+BAD_FILES = {
+    "missing-field": '{"dim": 2}',
+    "not-an-object": "[1, 2]",
+    "not-json": "not json",
+    "wrong-type": '{"dim": 2, "points": "abc"}',
+}
+COMMANDS = {
+    "convert": ("convert", "{}"),
+    "contains": ("contains", "{}", "--query", "0,0"),
+    "vertices": ("vertices", "{}"),
+    "optimize-model": ("optimize", "--model", "{}", "--target", "0,0"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("bad", sorted(BAD_FILES))
+def test_malformed_input_file_is_io_error(tmp_path, bad, command):
+    path = tmp_path / "bad.json"
+    path.write_text(BAD_FILES[bad])
+    code, _, stderr = run_cli(*(arg.format(path) for arg in COMMANDS[command]))
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ("convert", "contains", "vertices"))
+def test_seed_is_only_accepted_where_it_is_read(tmp_path, command):
+    vpath = str(tmp_path / "quad.vrep.json")
+    save_vrep(VRep(FIG_QUAD), vpath)
+    code, _, stderr = run_cli(command, vpath, "--seed", "1")
+    assert code == 2
+    assert "--seed" in stderr

@@ -103,7 +103,7 @@ def test_bland_iteration_headroom():
     for seed in range(20):
         p = _random_feasible_problem(800 + seed)
         out = lp_solve(p)
-        bound = 10 * (p.n_rows + p.n_vars)
+        bound = 10 * sum(p.eq_matrix.shape)
         assert out.iterations < bound
 
 
