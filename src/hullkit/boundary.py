@@ -3,13 +3,12 @@
 A boundary model is the convex hull of the (optionally normalized, optionally
 vertex-pruned) input signals measured at one engine operating point. Models
 persist to a single JSON document with ``schema_version`` 1; a cached
-half-space representation survives the round trip together with the
-validation queries used to re-check it on load.
+half-space representation survives the round trip, and is re-checked on
+load against the model's points and the stored validation queries.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,7 +16,8 @@ import numpy as np
 from .errors import DegenerateError, ParseError, SchemaError, TooFewPoints
 from .linalg import affine_rank, as_vector
 from .optimize import Objective
-from .polytope import HRep, VRep, _read_json
+from .polytope import HRep, VRep, _duplicate_rows, _onplane_tol, _read_json, \
+    _write_json
 from .queries import MembershipResult, contains, extreme_points
 
 SCHEMA_VERSION = 1
@@ -215,8 +215,38 @@ class BoundaryModel:
         _check_hrep_agreement(self.vrep, hrep, queries)
         return replace(self, cached_hrep=hrep, validation_queries=tuple(queries))
 
+    @classmethod
+    def from_dict(cls, doc: dict) -> "BoundaryModel":
+        """Re-validated model from a :func:`save_model` document, or :class:`SchemaError`."""
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        try:
+            model = cls(
+                name=doc["name"],
+                input_columns=tuple(doc["input_columns"]),
+                op_point_key=np.asarray(doc["op_point_key"], dtype=float),
+                vrep=VRep.from_dict(doc["vrep"]),
+                pruned=bool(doc["pruned"]),
+                normalization=tuple(tuple(p) for p in doc["normalization"]),
+                cached_hrep=HRep.from_dict(doc["cached_hrep"]) if doc.get("cached_hrep") else None,
+                validation_queries=tuple(np.asarray(q, dtype=float)
+                                         for q in doc.get("validation_queries", [])),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed model file: {exc!r}") from exc
+        if model.cached_hrep is not None:
+            _check_hrep_agreement(model.vrep, model.cached_hrep, model.validation_queries)
+        return model
+
 
 def _check_hrep_agreement(vrep, hrep, queries):
+    """Every point within the on-plane tolerance of ``vrep_to_hrep`` inside
+    every half-space, n points on each plane, and agreement on ``queries``."""
+    pts = vrep.points
+    side = pts @ hrep.normals.T - hrep.offsets
+    tol = _onplane_tol(pts - pts.mean(axis=0))
+    if side.max() > tol or np.min(np.sum(side >= -tol, axis=0)) < vrep.dim:
+        raise SchemaError("cached half-space representation does not fit the model points")
     for q in queries:
         if contains(vrep, q).inside != hrep.contains(q):
             raise SchemaError("cached half-space representation disagrees with the hull")
@@ -227,34 +257,29 @@ def build_boundary_model(rows, input_columns, prune: bool = False,
                          op_point_key=None) -> BoundaryModel:
     """Build the hull model of the selected input columns of ``rows``.
 
-    Exactly duplicated input vectors are removed (first occurrence kept);
-    each column is affinely mapped onto [-1, 1] when ``normalize``; vertex
-    pruning is LP-based and optional. The H-representation is never computed
-    here.
+    Each column is affinely mapped onto [-1, 1] when ``normalize``; rows
+    whose mapped inputs duplicate an earlier row within ``DISTINCT_EPS`` are
+    then removed (first occurrence kept); vertex pruning is LP-based and
+    optional. The H-representation is never computed here.
     """
     rows = np.asarray(rows, dtype=float)
     input_columns = tuple(int(c) for c in input_columns)
     x = rows[:, list(input_columns)]
     n = x.shape[1]
 
-    _, first = np.unique(x, axis=0, return_index=True)
-    x = x[np.sort(first)]
+    offsets, scales = np.zeros(n), np.ones(n)
+    if normalize and x.size:
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        offsets, scales = (hi + lo) / 2.0, (hi - lo) / 2.0
+    # A constant column (scale 0) fails the rank test below.
+    z = (x - offsets) / np.where(scales > 0.0, scales, 1.0)
+    dups = _duplicate_rows(z)
+    x, z = np.delete(x, dups, axis=0), np.delete(z, dups, axis=0)
     if x.shape[0] < n + 1:
         raise TooFewPoints(f"need at least {n + 1} distinct rows, have {x.shape[0]}")
     if affine_rank(x) < n:
         raise DegenerateError("selected columns are not full-dimensional")
-
-    if normalize:
-        lo, hi = x.min(axis=0), x.max(axis=0)
-        offsets = (hi + lo) / 2.0
-        scales = (hi - lo) / 2.0
-        if np.any(scales <= 0.0):
-            raise DegenerateError("constant input column cannot be normalized")
-        z = (x - offsets) / scales
-        pairs = tuple(zip(offsets.tolist(), scales.tolist()))
-    else:
-        z = x
-        pairs = tuple((0.0, 1.0) for _ in range(n))
+    pairs = tuple(zip(offsets.tolist(), scales.tolist()))
 
     vrep = VRep(z)
     if prune:
@@ -351,29 +376,9 @@ def save_model(model: BoundaryModel, path) -> None:
         "cached_hrep": model.cached_hrep.to_dict() if model.cached_hrep else None,
         "validation_queries": [q.tolist() for q in model.validation_queries],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+    _write_json(doc, path)
 
 
 def load_model(path) -> BoundaryModel:
     """Load and re-validate a model written by :func:`save_model`."""
-    doc = _read_json(path)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    try:
-        model = BoundaryModel(
-            name=doc["name"],
-            input_columns=tuple(doc["input_columns"]),
-            op_point_key=np.asarray(doc["op_point_key"], dtype=float),
-            vrep=VRep.from_dict(doc["vrep"]),
-            pruned=bool(doc["pruned"]),
-            normalization=tuple(tuple(p) for p in doc["normalization"]),
-            cached_hrep=HRep.from_dict(doc["cached_hrep"]) if doc.get("cached_hrep") else None,
-            validation_queries=tuple(np.asarray(q, dtype=float)
-                                     for q in doc.get("validation_queries", [])),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed model file: {exc!r}") from exc
-    if model.cached_hrep is not None:
-        _check_hrep_agreement(model.vrep, model.cached_hrep, model.validation_queries)
-    return model
+    return BoundaryModel.from_dict(_read_json(path))

@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from . import bench as bench_mod
-from .boundary import load_model, save_csv, synth_engine_dataset
+from .boundary import BoundaryModel, load_model, save_csv, synth_engine_dataset
 from .errors import ConversionTimeout, DimensionError, HullkitError, ParseError, \
     SchemaError
 from .optimize import Objective, chebyshev_center, solve_hrep, solve_vrep
@@ -61,7 +61,7 @@ def _load_queryable(path):
     """Load either a plain VRep JSON or a boundary-model JSON."""
     doc = _read_json(path)
     if "schema_version" in doc:
-        return load_model(path)
+        return BoundaryModel.from_dict(doc)
     return VRep.from_dict(doc)
 
 
@@ -86,7 +86,7 @@ def _cmd_gen(args):
             save_hrep(hrep, base + ".hrep.json")
             paths.append(base + ".hrep.json")
         m = vrep.n_points if vrep is not None else 0
-        print(f"{args.kind} {m} {args.n} {args.seed} {'+'.join(paths)}")
+        print(f"{args.kind} {m} {args.n} {'+'.join(paths)}")
     elif args.kind == "engine":
         dataset = synth_engine_dataset(args.seed, args.inputs)
         out = args.out or f"engine_n{args.inputs}_s{args.seed}.csv"
@@ -237,7 +237,7 @@ def _build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--inputs", type=int, choices=(4, 7, 9), default=4)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("convert", help="enumerate facets of a point-set hull "
@@ -295,6 +295,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "optimize" and bool(args.model) == bool(args.vrep):
         parser.error("optimize needs exactly one of --model or --vrep")
+    if args.command == "gen":
+        if args.kind in ("cube", "cross") and args.seed is not None:
+            parser.error(f"gen {args.kind} does not read --seed")
+        args.seed = args.seed or 0
     try:
         return args.func(args)
     except (ParseError, SchemaError, OSError) as exc:

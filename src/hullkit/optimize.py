@@ -6,8 +6,8 @@ until the Frank-Wolfe gap certifies the minimum; the half-space route runs
 a Newton log-barrier method over ``A x <= b`` until a dual bound does. Each
 route returns its bound as ``SolveResult.gap``, which is only as exact as
 the gradient: a central difference when ``Objective.grad`` is missing.
-Extra inequality constraints ``g_j(x) >= 0`` are handled by a quadratic
-penalty whose weight is escalated over a few outer rounds.
+Extra constraints ``g_j(x) >= 0`` go through one augmented-Lagrangian loop
+shared by both routes (see :class:`SolveOptions` for what ``gap`` then bounds).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,9 +29,9 @@ from .queries import Weights, membership_problem
 # Central-difference step used when an objective has no analytic gradient.
 _FD_STEP = 1e-6
 _ARMIJO_C = 1e-4
-_PENALTY_START = 10.0
-_PENALTY_GROWTH = 10.0
-_PENALTY_ROUNDS = 3
+# Weight rho of the augmented Lagrangian's quadratic term, sized for
+# constraints of unit scale such as those on normalized model inputs.
+_AL_WEIGHT = 1000.0
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,10 @@ class SolveOptions:
     ``converged=True`` means ``gap <= objective_tol * max(1, |objective|)``
     and no constraint violated by more than ``constraint_tol`` at the
     minimizer. ``gap`` is the Frank-Wolfe gap on the vertex route and the
-    barrier's dual bound on the half-space route; with constraints it
-    certifies the penalized objective at the final penalty weight.
+    barrier's dual bound on the half-space route, taken on the augmented
+    Lagrangian, plus ``lambda . g(x)`` at the updated multipliers. For convex
+    ``f`` and concave constraints it bounds ``objective - min``, the minimum
+    over the feasible part of the hull.
     """
 
     max_fun_evals: int = 20000
@@ -149,40 +152,65 @@ def compose_objective(f: Objective, v: VRep) -> Objective:
     return Objective(dim=v.n_points, eval=fun, grad=grad)
 
 
-def _penalized(f: Objective, cons, rho, budget):
-    """Objective + quadratic penalty max(0, -g)^2, with gradient closure."""
+def _lagrangian(f: Objective, cons, lam, budget) -> Objective:
+    """Augmented Lagrangian of ``f`` and ``g_j(x) >= 0`` at ``rho = _AL_WEIGHT``:
+    ``f + sum_j (max(0, lam_j - rho g_j)^2 - lam_j^2) / (2 rho)`` (Hestenes
+    1969; Powell 1969). Its gradient ``grad f - sum_j lam'_j grad g_j``, with
+    ``lam'_j = max(0, lam_j - rho g_j)``, is the ordinary Lagrangian's at the
+    updated multipliers. ``lam`` is read in place at every call.
+    """
     def fun(x):
         val = f.eval(x)
-        for c in cons:
-            viol = -c.eval(x)
-            if viol > 0.0:
-                val += rho * viol * viol
+        for c, lj in zip(cons, lam):
+            val += (max(0.0, lj - _AL_WEIGHT * c.eval(x)) ** 2 - lj * lj) / (2.0 * _AL_WEIGHT)
         return val
 
     def grad(x):
-        if f.grad is not None:
-            g = np.array(f.grad(x), dtype=float)
-        else:
-            g = _fd_gradient(f.eval, x, budget)
-        for c in cons:
-            viol = -c.eval(x)
-            if viol > 0.0:
-                g += rho * 2.0 * viol * -_fd_gradient(c.eval, x, budget)
+        g = (np.array(f.grad(x), dtype=float) if f.grad is not None
+             else _fd_gradient(f.eval, x, budget))
+        for c, lj in zip(cons, lam):
+            mult = lj - _AL_WEIGHT * c.eval(x)
+            if mult > 0.0:
+                g -= mult * _fd_gradient(c.eval, x, budget)
         return g
 
-    return fun, grad
+    return Objective(f.dim, fun, grad)
 
 
-def _max_violation(cons, x) -> float:
-    if not cons:
-        return 0.0
-    return max(0.0, max(-c.eval(x) for c in cons))
-
-
-def _certified(converged, gap, objective, cons, x, budget, opts) -> bool:
-    return (converged and not budget.exhausted
-            and gap <= opts.objective_tol * max(1.0, abs(objective))
-            and _max_violation(cons, x) <= opts.constraint_tol)
+def _solve(f: Objective, cons, opts, inner, z, v: VRep | None = None) -> SolveResult:
+    """Minimize ``f`` subject to ``cons`` by rounds of ``inner`` from ``z``: the
+    simplex weights of ``v`` if given (the Lagrangian is composed through it
+    once), else ``x``. Each round updates ``lam`` and adds ``lam . g(x)`` to
+    the inner gap; rounds share one budget and trace, and stop once certified,
+    when an inner stop did not converge, or when the budget runs out.
+    """
+    t0 = time.perf_counter()
+    opts, cons = opts or SolveOptions(), list(cons or [])
+    budget = _Budget(opts.max_fun_evals)
+    lam = np.zeros(len(cons))
+    lag = _lagrangian(f, cons, lam, budget)
+    if v is not None:
+        lag = compose_objective(lag, v)
+    trace: list[float] = []
+    iters_total = 0
+    while True:
+        z, gap, iters, converged = inner(lag.eval, lag.grad, z, opts.objective_tol,
+                                         budget, trace, opts.max_iters)
+        iters_total += iters
+        x = z if v is None else v.points.T @ z
+        objective = float(f.eval(x))
+        g = np.array([c.eval(x) for c in cons])
+        lam[:] = np.maximum(0.0, lam - _AL_WEIGHT * g)
+        gap += float(lam @ g)
+        done = bool(converged and not budget.exhausted
+                    and np.max(-g, initial=0.0) <= opts.constraint_tol
+                    and gap <= opts.objective_tol * max(1.0, abs(objective)))
+        if done or not converged or budget.exhausted:
+            return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
+                               fun_evals=budget.used, elapsed=time.perf_counter() - t0,
+                               converged=done, gap=gap,
+                               weights=None if v is None else Weights(z),
+                               trace=tuple(trace))
 
 
 def _fista(fun, grad, alpha, tol, budget, trace, max_iters):
@@ -240,7 +268,7 @@ def _fista(fun, grad, alpha, tol, budget, trace, max_iters):
 def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) -> SolveResult:
     """Minimize ``f`` over ``conv(V)`` via the simplex reparameterization.
 
-    The penalized objective is built in x-space (a missing gradient costs
+    The augmented Lagrangian is built in x-space (a missing gradient costs
     2n evaluations by central differences) and pulled back through
     ``x = V^T alpha`` once; FISTA then runs on the weights from the
     barycenter, also evaluating ``f`` at extrapolated points that may lie
@@ -251,37 +279,12 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) ->
     iteration exhaustion the last (and best) iterate is returned with
     ``converged=False``.
     """
-    if opts is None:
-        opts = SolveOptions()
     if v.n_points < 2:
         raise ValueError("need at least two points to optimize over")
-    cons = list(cons or [])
-
-    t0 = time.perf_counter()
-    budget = _Budget(opts.max_fun_evals)
-    alpha = np.full(v.n_points, 1.0 / v.n_points)
-    trace: list[float] = []
-    rho = _PENALTY_START
-    iters_total = 0
-    for _ in range(_PENALTY_ROUNDS if cons else 1):
-        fun, grad = _penalized(f, cons, rho, budget)
-        ft = compose_objective(Objective(f.dim, fun, grad), v)
-        alpha, gap, iters, converged = _fista(ft.eval, ft.grad, alpha, opts.objective_tol,
-                                              budget, trace, opts.max_iters)
-        iters_total += iters
-        if _max_violation(cons, v.points.T @ alpha) <= opts.constraint_tol:
-            break
-        rho *= _PENALTY_GROWTH
-
-    x = v.points.T @ alpha
-    objective = float(f.eval(x))
-    return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
-                       fun_evals=budget.used, elapsed=time.perf_counter() - t0,
-                       converged=_certified(converged, gap, objective, cons, x, budget, opts),
-                       gap=gap, weights=Weights(alpha), trace=tuple(trace))
+    return _solve(f, cons, opts, _fista, np.full(v.n_points, 1.0 / v.n_points), v)
 
 
-def _barrier(fun, grad, a_mat, b_vec, x, tol, budget, trace, max_iters):
+def _barrier(fun, grad, x, tol, budget, trace, max_iters, a_mat, b_vec):
     """Newton log-barrier method on ``{x : A x <= b}`` from the interior ``x``.
 
     Centres ``fun(x) - mu * sum(log s)``, ``s = b - A x``, by damped Newton
@@ -355,38 +358,15 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
     ``objective - min <= gap``. Without ``f.grad`` both the bound and the
     Newton steps rest on central differences, about 4n^2 evaluations a step.
     ``converged`` is as described in :class:`SolveOptions`; the trace holds
-    the best penalized objective seen so far.
+    the lowest augmented Lagrangian value seen so far.
     """
-    if opts is None:
-        opts = SolveOptions()
     if f.dim != h.dim:
         raise DimensionError("objective dimension must match the half-spaces")
-    cons = list(cons or [])
     start = as_vector(start, h.dim)
     if np.min(h.offsets - h.normals @ start) <= 1e-9:
         raise InfeasibleStart("start point is not strictly inside the region")
-
-    t0 = time.perf_counter()
-    budget = _Budget(opts.max_fun_evals)
-    trace: list[float] = []
-    x = start.copy()
-    rho = _PENALTY_START
-    iters_total = 0
-    for _ in range(_PENALTY_ROUNDS if cons else 1):
-        fun, grad = _penalized(f, cons, rho, budget)
-        x, gap, iters, converged = _barrier(fun, grad, h.normals, h.offsets, x,
-                                            opts.objective_tol, budget, trace,
-                                            opts.max_iters)
-        iters_total += iters
-        if _max_violation(cons, x) <= opts.constraint_tol:
-            break
-        rho *= _PENALTY_GROWTH
-
-    objective = float(f.eval(x))
-    return SolveResult(minimizer=x, objective=objective, iterations=iters_total,
-                       fun_evals=budget.used, elapsed=time.perf_counter() - t0,
-                       converged=_certified(converged, gap, objective, cons, x, budget, opts),
-                       gap=gap, trace=tuple(trace))
+    return _solve(f, cons, opts, partial(_barrier, a_mat=h.normals, b_vec=h.offsets),
+                  start.copy())
 
 
 def chebyshev_center(h: HRep) -> np.ndarray:

@@ -94,11 +94,10 @@ class VRep:
     @classmethod
     def from_dict(cls, data: dict) -> "VRep":
         try:
-            dim = int(data["dim"])
             pts = np.atleast_2d(np.asarray(data["points"], dtype=float))
+            return cls(as_matrix(pts, cols=int(data["dim"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed vrep document: {exc!r}") from exc
-        return cls(as_matrix(pts, cols=dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +130,10 @@ class HRep:
     def n_halfspaces(self) -> int:
         return self.normals.shape[0]
 
-    def contains(self, x, tol: float = GEOM_EPS) -> bool:
+    def contains(self, x) -> bool:
+        """Whether ``x`` satisfies every half-space within ``GEOM_EPS``."""
         x = as_vector(x, self.dim)
-        return bool(np.all(self.normals @ x <= self.offsets + tol))
+        return bool(np.all(self.normals @ x <= self.offsets + GEOM_EPS))
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -143,12 +143,11 @@ class HRep:
     @classmethod
     def from_dict(cls, data: dict) -> "HRep":
         try:
-            dim = int(data["dim"])
             normals = np.array([h["normal"] for h in data["halfspaces"]], dtype=float)
             offsets = np.array([h["offset"] for h in data["halfspaces"]], dtype=float)
+            return cls(as_matrix(normals, cols=int(data["dim"])), offsets)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed hrep document: {exc!r}") from exc
-        return cls(as_matrix(normals, cols=dim), offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +397,11 @@ def _ridge_walk(points, t0, deadline, counts):
     return np.array(list(facets), dtype=np.intp)
 
 
+def _onplane_tol(centred) -> float:
+    """On-plane distance: ``GEOM_EPS`` times the extent of points centred on their centroid."""
+    return GEOM_EPS * max(1.0, float(np.max(np.abs(centred))))
+
+
 def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionReport:
     """Enumerate the facets of ``conv(points)`` as an H-representation.
 
@@ -432,7 +436,7 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
         # follow the hull's extent, not its distance from the origin.
         centroid = points.mean(axis=0)
         centred = points - centroid
-        tol = GEOM_EPS * max(1.0, float(np.max(np.abs(centred))))
+        tol = _onplane_tol(centred)
         simplices = _ridge_walk(centred, t0, deadline, counts)
         planes = _facets_from_simplices(centred, simplices, tol, t0, deadline, counts)
         planes[:, -1] += planes[:, :-1] @ centroid
@@ -455,9 +459,13 @@ def _read_json(path) -> dict:
     return doc
 
 
-def save_vrep(vrep: VRep, path) -> None:
+def _write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vrep.to_dict(), fh)
+        fh.write(json.dumps(doc))
+
+
+def save_vrep(vrep: VRep, path) -> None:
+    _write_json(vrep.to_dict(), path)
 
 
 def load_vrep(path) -> VRep:
@@ -465,8 +473,7 @@ def load_vrep(path) -> VRep:
 
 
 def save_hrep(hrep: HRep, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(hrep.to_dict(), fh)
+    _write_json(hrep.to_dict(), path)
 
 
 def load_hrep(path) -> HRep:

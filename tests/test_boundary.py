@@ -127,6 +127,11 @@ def test_build_model_dedup_and_too_few():
     rows = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.raises(TooFewPoints):
         build_boundary_model(rows, (0, 1))
+    # A row within DISTINCT_EPS of an earlier one is dropped, not rejected.
+    near = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1e-13, 0.0]])
+    for normalize in (True, False):
+        model = build_boundary_model(near, (0, 1), normalize=normalize)
+        assert model.vrep.n_points == 3
 
 
 def test_build_model_degenerate():
@@ -217,6 +222,25 @@ def test_cached_hrep_survives_round_trip(tmp_path):
     loaded = load_model(path)
     assert loaded.cached_hrep is not None
     np.testing.assert_array_equal(loaded.cached_hrep.normals, hrep.normals)
+
+
+@pytest.mark.parametrize("change", ["shrink-all", "grow-one"])
+def test_cached_hrep_that_misfits_the_points_is_rejected(tmp_path, change):
+    # Shrinking every offset puts vertices outside; growing one leaves a
+    # half-space that touches no vertex. The box probes alone accept both.
+    ds = synth_engine_dataset(1, 4)
+    key, block = group_by_operating_point(ds)[0]
+    model = build_boundary_model(block, (0, 1, 2, 3), prune=True, op_point_key=key)
+    model = model.with_cached_hrep(vrep_to_hrep(model.vrep).hrep)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    halfspaces = doc["cached_hrep"]["halfspaces"]
+    for h in halfspaces if change == "shrink-all" else halfspaces[:1]:
+        h["offset"] += -0.05 if change == "shrink-all" else 0.05
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError):
+        load_model(path)
 
 
 def test_truncated_file_never_partial(tmp_path):

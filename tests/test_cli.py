@@ -211,9 +211,15 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
 
 BAD_FILES = {
     "missing-field": '{"dim": 2}',
+    "model-dims-disagree": json.dumps({
+        "schema_version": 1, "name": "m", "input_columns": [0, 1, 2],
+        "op_point_key": [], "pruned": False, "normalization": [[0, 1]] * 3,
+        "vrep": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}, "cached_hrep": None}),
+    "nan": '{"dim": 2, "points": [[0, NaN], [1, 1]]}',
     "not-an-object": "[1, 2]",
     "not-json": "not json",
     "wrong-type": '{"dim": 2, "points": "abc"}',
+    "wrong-width": '{"dim": 3, "points": [[0, 0], [1, 1]]}',
 }
 COMMANDS = {
     "convert": ("convert", "{}"),
@@ -241,3 +247,14 @@ def test_seed_is_only_accepted_where_it_is_read(tmp_path, command):
     code, _, stderr = run_cli(command, vpath, "--seed", "1")
     assert code == 2
     assert "--seed" in stderr
+
+
+@pytest.mark.parametrize("kind", ("cube", "cross"))
+def test_gen_without_a_seed_rejects_seed(tmp_path, kind):
+    base = str(tmp_path / kind)
+    code, _, stderr = run_cli("gen", kind, "--n", "2", "--seed", "5", "--out", base)
+    assert code == 2
+    assert "--seed" in stderr
+    code, stdout, _ = run_cli("gen", kind, "--n", "2", "--out", base)
+    assert code == 0
+    assert stdout.split()[:3] == [kind, "4", "2"]

@@ -161,14 +161,15 @@ def _engine_model(seed, n_inputs, op, prune=True, normalize=True):
     return model, model.map_objective(synth_bsfc_objective(seed, n_inputs, op))
 
 
-def _slsqp_minimum(points, f):
+def _slsqp_minimum(points, f, extra=()):
+    # ``extra``: further SLSQP constraints on the weights.
     minimize = pytest.importorskip("scipy.optimize").minimize
     m = points.shape[0]
     ref = minimize(lambda a: f.eval(points.T @ a), np.full(m, 1.0 / m),
                    jac=lambda a: points @ f.grad(points.T @ a), method="SLSQP",
                    bounds=[(0.0, 1.0)] * m,
                    constraints=[{"type": "eq", "fun": lambda a: a.sum() - 1.0,
-                                 "jac": lambda a: np.ones_like(a)}],
+                                 "jac": lambda a: np.ones_like(a)}, *extra],
                    options={"maxiter": 1000, "ftol": 1e-12})
     return float(ref.fun)
 
@@ -239,21 +240,44 @@ def test_solve_hrep_gradient_free():
 
 
 def test_converged_requires_feasibility_on_both_routes():
-    # The penalty leaves x0 about 0.0106 short of its bound after the last
-    # round; the gap certifies only the penalized objective.
+    # A binding constraint is met within constraint_tol and the minimum
+    # matches SLSQP's over the simplex weights; with no feasible point at
+    # all, neither route may claim convergence.
     model, f = _engine_model(1, 4, 2)
-    bound = float(np.quantile(model.vrep.points[:, 0], 0.7))
+    pts = model.vrep.points
+    bound = float(np.quantile(pts[:, 0], 0.7))
     cons = [Constraint(dim=4, eval=lambda x: float(x[0] - bound))]
+    ref = _slsqp_minimum(pts, f, [{"type": "ineq", "fun": lambda a: pts[:, 0] @ a - bound}])
+    opts = SolveOptions()
     hrep = vrep_to_hrep(model.vrep).hrep
     for res in (solve_vrep(f, cons, model.vrep),
-                solve_hrep(f, cons, hrep, model.vrep.points.mean(axis=0))):
-        assert bound - res.minimizer[0] > 1e-3
+                solve_hrep(f, cons, hrep, pts.mean(axis=0))):
+        assert res.converged
+        assert bound - res.minimizer[0] <= opts.constraint_tol
+        assert abs(res.objective - ref) <= opts.objective_tol * abs(ref)
+
+    v, h = unit_cube(2)
+    cons = [Constraint(dim=2, eval=lambda x: float(x[0] - 2.0))]  # x0 >= 2
+    for res in (solve_vrep(_quadratic(2, [0.0, 0.0]), cons, v),
+                solve_hrep(_quadratic(2, [0.0, 0.0]), cons, h, np.array([0.5, 0.5]))):
         assert not res.converged
 
 
+def test_binding_constraint_certified_on_unit_square():
+    # min |x|^2 with x0 >= 0.5: the multiplier converges to 1, so both
+    # routes reach (0.5, 0) and certify it.
+    v, h = unit_cube(2)
+    f = _quadratic(2, [0.0, 0.0])
+    cons = [Constraint(dim=2, eval=lambda x: float(x[0] - 0.5))]
+    for res in (solve_vrep(f, cons, v), solve_hrep(f, cons, h, np.array([0.75, 0.5]))):
+        assert res.converged
+        assert abs(res.minimizer[0] - 0.5) <= 1e-6
+        assert abs(res.objective - 0.25) <= 1e-6
+
+
 def test_solve_vrep_penalty_constraint():
-    # With three penalty rounds (rho up to 1000) the residual violation of an
-    # active constraint settles near 1/(2 rho) for a unit objective gradient.
+    # For a linear objective one multiplier update reaches the exact
+    # multiplier 1, so the active constraint is met well within the bounds.
     v, _ = unit_cube(2)
     f = Objective(dim=2, eval=lambda x: float(x[0] + x[1]),
                   grad=lambda x: np.ones(2))
