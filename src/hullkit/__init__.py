@@ -15,7 +15,7 @@ from .polytope import (ConversionReport, HRep, VRep, cross_polytope,
                        save_vrep, unit_cube, vrep_to_hrep)
 from .queries import (MembershipResult, Weights, contains, extreme_mask,
                       extreme_points, is_extreme)
-from .optimize import (Constraint, Objective, SolveOptions, SolveResult,
+from .optimize import (Objective, SolveOptions, SolveResult,
                        chebyshev_center, compose_objective, project_to_simplex,
                        solve_hrep, solve_vrep)
 from .boundary import (BoundaryModel, Dataset, build_boundary_model,
@@ -28,7 +28,7 @@ from .bench import (BenchRow, bench_conversion, bench_membership,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow", "BoundaryModel", "Constraint", "ConversionReport",
+    "BenchRow", "BoundaryModel", "ConversionReport",
     "ConversionTimeout", "Dataset", "DegenerateError", "DimensionError",
     "EmptyInterior", "HRep", "HullkitError", "Hyperplane", "INFEASIBLE",
     "InfeasibleStart", "LpOutcome", "LpProblem", "MembershipResult",

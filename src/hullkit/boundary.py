@@ -9,6 +9,7 @@ load against the model's points and the stored validation queries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,6 +170,9 @@ class BoundaryModel:
                            np.asarray(self.op_point_key, dtype=float))
         object.__setattr__(self, "normalization",
                            tuple((float(o), float(s)) for o, s in self.normalization))
+        if not all(math.isfinite(o) and math.isfinite(s) and s > 0.0
+                   for o, s in self.normalization):
+            raise ValueError("normalization needs finite offsets and finite positive scales")
         object.__setattr__(self, "validation_queries",
                            tuple(np.asarray(q, dtype=float) for q in self.validation_queries))
 

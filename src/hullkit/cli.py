@@ -114,6 +114,7 @@ def _cmd_convert(args):
 
 def _cmd_contains(args):
     target = _load_queryable(args.path)
+    dim = target.dim if isinstance(target, VRep) else target.vrep.dim
     queries = [q for q in (args.query or [])]
     if args.queries_csv:
         with open(args.queries_csv, encoding="utf-8") as fh:
@@ -123,11 +124,17 @@ def _cmd_contains(args):
             if not line.strip():
                 continue
             try:
-                queries.append(np.array([float(c) for c in line.split(",")]))
+                row = np.array([float(c) for c in line.split(",")])
             except ValueError:
                 if not first:  # only a non-numeric first line is a header
                     raise ParseError(f"could not parse query row {line!r}",
                                      line=lineno) from None
+            else:
+                # Checked here so that a bad row stops the run before any answer.
+                if row.shape[0] != dim or not np.isfinite(row).all():
+                    raise ParseError(f"query row {line!r} needs {dim} finite entries",
+                                     line=lineno)
+                queries.append(row)
             first = False
     if not queries:
         raise DimensionError("no queries given; use --query or --queries-csv")

@@ -1,14 +1,17 @@
 """Two-phase dense-tableau simplex for standard-form linear programs.
 
-Solves ``min c.x  s.t.  A x = b, x >= 0``. Every LP in hullkit has the
-membership shape built by ``queries.membership_problem``, so no conversion
-from other forms is needed. Both phases price with Dantzig's rule (most
+Solves ``min c.x  s.t.  A x = b, x >= 0``. Every LP in hullkit is built in
+this form by its caller (membership and the Chebyshev dual by
+``queries.membership_problem``, the ridge walk's first facet by
+``polytope._initial_facet``), so no conversion from other forms is needed.
+Both phases run on one tableau and share one pivot step; phase 2 keeps the
+artificial columns out of the basis. Both price with Dantzig's rule (most
 negative reduced cost enters), which needs several times fewer pivots than
-Bland's rule on membership LPs. Dantzig's rule alone can cycle
-on a degenerate vertex, so after a run of degenerate pivots the loop falls
-back to Bland's smallest-index rule until the objective moves again; that
-keeps every solve finite. The leaving row is always the minimum ratio with
-ties broken by smallest basis index, so every solve is deterministic.
+Bland's rule on membership LPs. Dantzig's rule alone can cycle on a
+degenerate vertex, so after a run of degenerate pivots the loop falls back
+to Bland's smallest-index rule until the objective moves again; that keeps
+every solve finite. The leaving row is always the minimum ratio with ties
+broken by smallest basis index, so every solve is deterministic.
 Infeasible problems come back with a Farkas certificate ``y`` satisfying
 ``y.A >= 0`` componentwise and ``y.b < 0``.
 """
@@ -72,6 +75,16 @@ class _IterationCap(ArithmeticError):
     pass
 
 
+def _pivot(tableau, obj_row, basis, row, col):
+    """Gauss-Jordan step in place: column ``col`` enters the basis at ``row``."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    obj_row -= obj_row[col] * tableau[row]
+    basis[row] = col
+
+
 def _simplex(tableau, obj_row, basis, n_cols, phase, pivots, max_iterations, start_iter):
     """Run simplex pivots in place. Returns (status, iterations).
 
@@ -110,13 +123,7 @@ def _simplex(tableau, obj_row, basis, n_cols, phase, pivots, max_iterations, sta
         leaving = int(tied[np.argmin(np.asarray(basis)[tied])])
         degenerate_run = degenerate_run + 1 if best <= _DEGEN_EPS else 0
 
-        piv = tableau[leaving, entering]
-        tableau[leaving] /= piv
-        factors = tableau[:, entering].copy()
-        factors[leaving] = 0.0
-        tableau -= np.outer(factors, tableau[leaving])
-        obj_row -= obj_row[entering] * tableau[leaving]
-        basis[leaving] = entering
+        _pivot(tableau, obj_row, basis, leaving, entering)
 
         # Clamp roundoff drift so the ratio test stays meaningful.
         rhs = tableau[:, -1]
@@ -193,32 +200,25 @@ def lp_solve(problem: LpProblem, track_pivots: bool = False,
             if row[entering] <= _PIV_EPS:
                 keep[i] = False
                 continue
-            piv = tableau[i, entering]
-            tableau[i] /= piv
-            factors = tableau[:, entering].copy()
-            factors[i] = 0.0
-            tableau -= np.outer(factors, tableau[i])
-            basis[i] = entering
+            _pivot(tableau, obj_row, basis, i, entering)
     if not keep.all():
         tableau = tableau[keep]
         basis = [bv for bv, k in zip(basis, keep) if k]
 
-    # Phase 2 over the original columns only.
-    tableau2 = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    obj_row = np.concatenate([c, [0.0]])
+    # Phase 2 on the same tableau; n_cols = n keeps the artificials out.
+    obj_row = np.concatenate([c, np.zeros(m + 1)])
     for i, bv in enumerate(basis):
         if abs(obj_row[bv]) > 0.0:
-            obj_row -= obj_row[bv] * tableau2[i]
+            obj_row -= obj_row[bv] * tableau[i]
 
-    status, iters = _simplex(tableau2, obj_row, basis, n, 2, pivots,
+    status, iters = _simplex(tableau, obj_row, basis, n, 2, pivots,
                              max_iterations, iters)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED, iterations=iters,
                          pivots=tuple(pivots) if pivots is not None else None)
 
     x = np.zeros(n)
-    for i, bv in enumerate(basis):
-        x[bv] = tableau2[i, -1]
+    x[basis] = tableau[:, -1]
     return LpOutcome(OPTIMAL, solution=x, objective=float(-obj_row[-1]),
                      iterations=iters,
                      pivots=tuple(pivots) if pivots is not None else None,

@@ -6,8 +6,10 @@ until the Frank-Wolfe gap certifies the minimum; the half-space route runs
 a Newton log-barrier method over ``A x <= b`` until a dual bound does. Each
 route returns its bound as ``SolveResult.gap``, which is only as exact as
 the gradient: a central difference when ``Objective.grad`` is missing.
-Extra constraints ``g_j(x) >= 0`` go through one augmented-Lagrangian loop
-shared by both routes (see :class:`SolveOptions` for what ``gap`` then bounds).
+Extra constraints ``g_j(x) >= 0`` are each an :class:`Objective` too, so an
+analytic ``grad`` spares their central differences as well; they go through
+one augmented-Lagrangian loop shared by both routes (see
+:class:`SolveOptions` for what ``gap`` then bounds).
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ class Objective:
     dim: int
     eval: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Inequality constraint, feasible iff ``eval(x) >= 0``."""
-
-    dim: int
-    eval: Callable[[np.ndarray], float]
 
 
 @dataclass(frozen=True)
@@ -106,13 +100,16 @@ class _Budget:
         return self.used > self.cap
 
 
-def _fd_gradient(fun, x, budget) -> np.ndarray:
+def _gradient(f: Objective, x, budget) -> np.ndarray:
+    """``f.grad(x)``, or central differences (2n evaluations) without one."""
+    if f.grad is not None:
+        return np.array(f.grad(x), dtype=float)
     g = np.empty_like(x)
     for i in range(x.shape[0]):
         e = np.zeros_like(x)
         e[i] = _FD_STEP
         budget.spend(2)
-        g[i] = (fun(x + e) - fun(x - e)) / (2.0 * _FD_STEP)
+        g[i] = (f.eval(x + e) - f.eval(x - e)) / (2.0 * _FD_STEP)
     return g
 
 
@@ -166,12 +163,11 @@ def _lagrangian(f: Objective, cons, lam, budget) -> Objective:
         return val
 
     def grad(x):
-        g = (np.array(f.grad(x), dtype=float) if f.grad is not None
-             else _fd_gradient(f.eval, x, budget))
+        g = _gradient(f, x, budget)
         for c, lj in zip(cons, lam):
             mult = lj - _AL_WEIGHT * c.eval(x)
             if mult > 0.0:
-                g -= mult * _fd_gradient(c.eval, x, budget)
+                g -= mult * _gradient(c, x, budget)
         return g
 
     return Objective(f.dim, fun, grad)

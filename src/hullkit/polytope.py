@@ -4,9 +4,10 @@ Includes reference generators (unit cube, cross-polytope), seeded random
 point sets, and facet enumeration for the V-to-H conversion.
 
 Facets are enumerated by gift-wrapping (Chand & Kapur 1970): starting from
-one supporting facet, the walk rotates the supporting hyperplane across each
-ridge to the neighbouring facet, so its cost follows the number of facets
-found rather than the C(m, n) subsets of the input. The walk runs on a
+one supporting facet, read off the optimal basis of one ``lp_solve``, the
+walk rotates the supporting hyperplane across each ridge to the
+neighbouring facet, so its cost follows the number of facets found rather
+than the C(m, n) subsets of the input. The walk runs on a
 deterministically perturbed copy of the points, which puts them in general
 position so that every facet it meets is a simplex; the points are centred
 on their centroid first, so the perturbation follows the hull's extent. It
@@ -32,6 +33,7 @@ import numpy as np
 
 from .errors import ConversionTimeout, DegenerateError, ParseError, SchemaError
 from .linalg import GEOM_EPS, affine_rank, as_matrix, as_vector
+from .lp import LpProblem, lp_solve
 
 # Points closer than this in max-norm count as duplicates.
 DISTINCT_EPS = 1e-12
@@ -324,41 +326,20 @@ def _pivot_ridges(pp, ridges, opp, a_old, scale):
     return j, a_new / np.linalg.norm(a_new, axis=1, keepdims=True)
 
 
-def _initial_facet(pp, scale, t0, deadline, counts):
-    """Grow a first supporting facet by repeated minimal-angle rotations."""
-    m, n = pp.shape
-    a = np.zeros(n)
-    a[0] = 1.0
-    chosen = [int(np.argmax(pp[:, 0]))]
-    while len(chosen) < n:
-        counts["candidates"] += 1
-        _deadline_check(t0, deadline, counts["candidates"])
-        s0 = pp[chosen[0]]
-        if len(chosen) > 1:
-            q, _ = np.linalg.qr((pp[chosen[1:]] - s0).T)
-            a = a - q @ (q.T @ a)
-            a = a / np.linalg.norm(a)
-            w = pp - s0
-            wp = w - (w @ q) @ q.T
-        else:
-            q = None
-            wp = pp - s0
-        d = np.minimum(wp @ a, 0.0)
-        resid = wp - np.outer(wp @ a, a)
-        rho = np.linalg.norm(resid, axis=1)
-        theta = np.arctan2(-d, rho)
-        theta[chosen] = np.inf
-        theta[np.hypot(d, rho) < 1e-13 * scale] = np.inf
+def _initial_facet(pp):
+    """The facet of ``conv(pp)`` that the ray from the origin along e0 leaves through.
 
-        j = int(np.argmin(theta))
-        dj, rj = d[j], rho[j]
-        if rj < 1e-13 * scale:
-            raise DegenerateError("cannot grow an initial facet; points look degenerate")
-        u = resid[j] / rj
-        a = (rj * a - dj * u) / math.hypot(dj, rj)
-        a = a / np.linalg.norm(a)
-        chosen.append(j)
-    return tuple(sorted(chosen)), a
+    ``pp`` is centred, so the origin lies inside the hull and
+    ``min sum(y) s.t. pp^T y = e0, y >= 0`` is feasible and bounded. Its
+    optimal basis is n points of that facet, and its dual
+    ``a = solve(pp[basis], 1)`` satisfies ``a . p <= 1`` for every point,
+    with equality on the basis.
+    """
+    m, n = pp.shape
+    outcome = lp_solve(LpProblem(np.ones(m), pp.T, np.eye(n)[0]))
+    basis = list(outcome.basis)
+    a = np.linalg.solve(pp[basis], np.ones(n))
+    return tuple(sorted(basis)), a / np.linalg.norm(a)
 
 
 def _ridge_walk(points, t0, deadline, counts):
@@ -368,7 +349,8 @@ def _ridge_walk(points, t0, deadline, counts):
     rng = np.random.default_rng(987654321)
     pp = points + rng.uniform(-1.0, 1.0, points.shape) * (1e-9 * scale)
 
-    first, a0 = _initial_facet(pp, scale, t0, deadline, counts)
+    counts["candidates"] += 1
+    first, a0 = _initial_facet(pp)
     facets = {first: a0}
     queued = set()
     queue = deque()
@@ -411,7 +393,7 @@ def vrep_to_hrep(vrep: VRep, deadline_s: float | None = None) -> ConversionRepor
     Both run on the points minus their centroid, so the perturbation and
     the on-plane tolerance scale with the hull's extent, not with its
     distance from the origin; for n == 1 they are the two extreme values.
-    ``candidates_examined`` counts one per step that grows the initial
+    ``candidates_examined`` counts one for the LP that finds the initial
     facet, one per ridge pivoted and one per simplex fit (m when n == 1);
     the other counters of :class:`ConversionReport` split that work up.
     Raises :class:`DegenerateError` if the hull is not full-dimensional and

@@ -88,8 +88,7 @@ def membership_problem(points, query, cost=None) -> LpProblem:
     """The LP ``min cost . y`` s.t. ``[P^T; 1] y = [query; 1]``, ``y >= 0``.
 
     ``points`` holds one point per row. With no cost this is the
-    feasibility LP whose solvability decides ``query in conv(points)``;
-    every LP hullkit solves has this shape.
+    feasibility LP whose solvability decides ``query in conv(points)``.
     """
     m, dim = points.shape
     eq = np.vstack([points.T, np.ones((1, m))])

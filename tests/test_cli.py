@@ -98,12 +98,15 @@ def test_contains_queries_csv_header_and_malformed_row(tmp_path):
     assert code == 0
     assert [l.split()[0] for l in stdout.strip().splitlines()] == ["inside", "outside"]
 
-    bad = tmp_path / "bad.csv"
-    bad.write_text("x,y\n1,1\n1,oops\n5,5\n")
-    code, stdout, stderr = run_cli("contains", vpath, "--queries-csv", str(bad))
-    assert code == 3
-    assert "line 3" in stderr
-    assert stdout == ""
+    # A non-numeric, wrong-width or non-finite row stops the run before any
+    # answer is printed.
+    for row in ("1,oops", "0.1,0.2,0.3", "nan,1"):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"x,y\n1,1\n{row}\n5,5\n")
+        code, stdout, stderr = run_cli("contains", vpath, "--queries-csv", str(bad))
+        assert code == 3, row
+        assert "line 3" in stderr, row
+        assert stdout == "", row
 
 
 def test_contains_missing_file():
@@ -214,6 +217,14 @@ BAD_FILES = {
     "model-dims-disagree": json.dumps({
         "schema_version": 1, "name": "m", "input_columns": [0, 1, 2],
         "op_point_key": [], "pruned": False, "normalization": [[0, 1]] * 3,
+        "vrep": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}, "cached_hrep": None}),
+    "model-nan-scale": json.dumps({
+        "schema_version": 1, "name": "m", "input_columns": [0, 1],
+        "op_point_key": [], "pruned": False, "normalization": [[0, float("nan")], [0, 1]],
+        "vrep": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}, "cached_hrep": None}),
+    "model-zero-scale": json.dumps({
+        "schema_version": 1, "name": "m", "input_columns": [0, 1],
+        "op_point_key": [], "pruned": False, "normalization": [[0, 0], [0, 1]],
         "vrep": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]}, "cached_hrep": None}),
     "nan": '{"dim": 2, "points": [[0, NaN], [1, 1]]}',
     "not-an-object": "[1, 2]",

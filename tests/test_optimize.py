@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullkit import Constraint, EmptyInterior, InfeasibleStart, Objective, \
+from hullkit import EmptyInterior, InfeasibleStart, Objective, \
     SolveOptions, VRep, chebyshev_center, compose_objective, contains, \
     cross_polytope, project_to_simplex, random_point_set, \
     solve_hrep, solve_vrep, unit_cube, vrep_to_hrep
@@ -246,7 +246,7 @@ def test_converged_requires_feasibility_on_both_routes():
     model, f = _engine_model(1, 4, 2)
     pts = model.vrep.points
     bound = float(np.quantile(pts[:, 0], 0.7))
-    cons = [Constraint(dim=4, eval=lambda x: float(x[0] - bound))]
+    cons = [Objective(dim=4, eval=lambda x: float(x[0] - bound))]
     ref = _slsqp_minimum(pts, f, [{"type": "ineq", "fun": lambda a: pts[:, 0] @ a - bound}])
     opts = SolveOptions()
     hrep = vrep_to_hrep(model.vrep).hrep
@@ -257,10 +257,28 @@ def test_converged_requires_feasibility_on_both_routes():
         assert abs(res.objective - ref) <= opts.objective_tol * abs(ref)
 
     v, h = unit_cube(2)
-    cons = [Constraint(dim=2, eval=lambda x: float(x[0] - 2.0))]  # x0 >= 2
+    cons = [Objective(dim=2, eval=lambda x: float(x[0] - 2.0))]  # x0 >= 2
     for res in (solve_vrep(_quadratic(2, [0.0, 0.0]), cons, v),
                 solve_hrep(_quadratic(2, [0.0, 0.0]), cons, h, np.array([0.5, 0.5]))):
         assert not res.converged
+
+
+def test_constraint_gradient_spares_evaluations():
+    # Constraints are Objectives: an affine limit given with its gradient
+    # needs no central differences, so both routes certify the same minimum
+    # with far fewer evaluations than from differences.
+    model, f = _engine_model(1, 4, 2)
+    pts = model.vrep.points
+    bound = float(np.quantile(pts[:, 0], 0.7))
+    by_diff = Objective(dim=4, eval=lambda x: float(x[0] - bound))
+    exact = Objective(dim=4, eval=by_diff.eval, grad=lambda x: np.eye(4)[0])
+    hrep = vrep_to_hrep(model.vrep).hrep
+    for solve in (lambda c: solve_vrep(f, [c], model.vrep),
+                  lambda c: solve_hrep(f, [c], hrep, pts.mean(axis=0))):
+        slow, fast = solve(by_diff), solve(exact)
+        assert slow.converged and fast.converged
+        assert abs(fast.objective - slow.objective) <= 1e-6 * abs(slow.objective)
+        assert 4 * fast.fun_evals < slow.fun_evals, (fast.fun_evals, slow.fun_evals)
 
 
 def test_binding_constraint_certified_on_unit_square():
@@ -268,7 +286,7 @@ def test_binding_constraint_certified_on_unit_square():
     # routes reach (0.5, 0) and certify it.
     v, h = unit_cube(2)
     f = _quadratic(2, [0.0, 0.0])
-    cons = [Constraint(dim=2, eval=lambda x: float(x[0] - 0.5))]
+    cons = [Objective(dim=2, eval=lambda x: float(x[0] - 0.5))]
     for res in (solve_vrep(f, cons, v), solve_hrep(f, cons, h, np.array([0.75, 0.5]))):
         assert res.converged
         assert abs(res.minimizer[0] - 0.5) <= 1e-6
@@ -281,7 +299,7 @@ def test_solve_vrep_penalty_constraint():
     v, _ = unit_cube(2)
     f = Objective(dim=2, eval=lambda x: float(x[0] + x[1]),
                   grad=lambda x: np.ones(2))
-    cons = [Constraint(dim=2, eval=lambda x: float(x[0] - 0.5))]  # x0 >= 0.5
+    cons = [Objective(dim=2, eval=lambda x: float(x[0] - 0.5))]  # x0 >= 0.5
     res = solve_vrep(f, cons, v)
     assert res.minimizer[0] >= 0.5 - 1e-3
     assert abs(res.minimizer[0] - 0.5) <= 1e-2

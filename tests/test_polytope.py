@@ -309,10 +309,10 @@ def test_conversion_report_counters():
         # Every simplex walked is fit once and is dropped, merged or kept.
         assert report.facet_count == (report.simplices_refit - report.slivers_dropped
                                       - report.facets_merged)
-        # Candidates: n - 1 steps growing the initial facet, then one per ridge
+        # Candidates: one LP for the initial facet, then one per ridge
         # pivoted and one per simplex refit.
         assert report.ridges_walked > 0
-        assert report.candidates_examined == (vrep.dim - 1 + report.ridges_walked
+        assert report.candidates_examined == (1 + report.ridges_walked
                                               + report.simplices_refit)
 
 
