@@ -77,13 +77,14 @@ def bench_conversion(grid, seeds: int = 3, timeout_s: float = 60.0,
 
 def bench_membership(grid, seeds: int = 3, queries_per_cell: int = 20,
                      base_seed: int = 0) -> list[BenchRow]:
-    """Median LP-membership time per (m, n) cell, inside and uniform queries
+    """Median ``contains`` time per (m, n) cell, inside and uniform queries
     reported separately.
 
     Half the queries are random convex combinations of the points (inside by
     construction); the other half are uniform in [-1, 1]^n. All queries of
     one hull go to the same ``VRep``, so a query that an earlier one's basis
-    or separator settles is timed without an LP, as ``contains`` answers it.
+    or separator settles, or that Gilbert steps separate, is timed without
+    an LP, as ``contains`` answers it.
     """
     rows = []
     half = max(1, queries_per_cell // 2)

@@ -280,7 +280,7 @@ def _build_parser():
     common(p, timeout=True, bench=True)
     p.set_defaults(func=_cmd_bench_conversion)
 
-    p = sub.add_parser("bench-membership", help="LP-membership timing table")
+    p = sub.add_parser("bench-membership", help="membership timing table")
     p.add_argument("--grid", type=_parse_grid, required=True)
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--queries", type=int, default=20)

@@ -15,19 +15,32 @@ certificate checked against the original points: inside weights that are
 nonnegative and reconstruct the query within the LP's own acceptance band
 ``tau`` (see ``_tau``), or a separator that the query exceeds by more than
 ``tau``. So for every query farther than ``tau`` from the boundary a
-shortcut gives the LP's answer:
+shortcut gives the LP's answer. ``contains`` tries, in order:
 
-* ``contains`` keeps, per hull, the last inside basis (n + 1 point indices,
-  their bounding box and, once a query falls in that box, the inverse of
-  their columns) and a bounded list of recent outside separators.
-  ``B^-1 [q; 1] >= 0`` makes the query inside with those weights; a stored
-  separator that ``q`` exceeds by more than ``tau`` makes it outside. This
-  module holds the cache weakly, keyed by the ``VRep`` object itself, so it
-  goes away with the hull, and a hull rebuilt from the same points starts
-  with an empty cache.
-* ``extreme_points`` certifies point k extreme with no LP when the linear
-  function ``c_k = v_k - mean(V)`` puts it above every other point by more
-  than ``tau * |c_k|`` (Dula & Helgason 1996); only the rest take an LP.
+* the hull's last inside basis (n + 1 point indices, their bounding box
+  and, once a query falls in that box, the inverse of their columns):
+  ``B^-1 [q; 1] >= 0`` makes the query inside with those weights;
+* a bounded list of recent outside separators: one that ``q`` exceeds by
+  more than ``tau`` makes it outside;
+* Gilbert steps (Gilbert 1966; Kalantari's triangle algorithm, 2015,
+  adapts them to hull membership), from the hull's centroid;
+* the LP.
+
+This module holds the basis, the separators and the centroid weakly, keyed
+by the ``VRep`` object itself, so they go away with the hull, and a hull
+rebuilt from the same points starts with an empty cache.
+
+A Gilbert step holds a point x of the hull and d = q - x. With
+``j = argmax_i d . p_i``, the query is outside by more than ``tau`` when
+``gap = d . q - d . p_j > tau * |d|``, with the separator normal
+``d / |d|``. The steps stop after ``_STEPS`` steps, when the hull reaches
+past q along d by at least |d| (``gap < -|d|^2``), or when |d| <= tau, where
+no step can certify since gap <= |d|^2. Otherwise x moves toward ``p_j``
+by an exact line search. ``extreme_points`` runs the same steps for every
+point at once against the other points, from their centroid, so point k's
+first direction is ``m / (m - 1) * (v_k - mean(V))``, the linear function
+of Dula & Helgason (1996). Only the points that no step certifies take an
+LP.
 """
 
 from __future__ import annotations
@@ -43,8 +56,10 @@ from .polytope import VRep
 
 # Outside separators that ``contains`` keeps per hull, newest first.
 _SEPARATORS = 8
-# Entries of C C^T that ``extreme_mask`` forms per block of points.
+# Entries of the (K, m) product that ``extreme_mask`` forms per step.
 _BLOCK = 1 << 22
+# Gilbert steps per target before the LP decides.
+_STEPS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +90,8 @@ class MembershipResult:
     """A membership answer and its certificate.
 
     ``source`` names what settled it: ``"lp"`` (a solve), ``"basis"`` (the
-    hull's cached inside basis) or ``"separator"`` (a cached separator).
+    hull's cached inside basis), ``"separator"`` (a cached separator) or
+    ``"steps"`` (Gilbert steps from the hull's centroid, outside only).
     """
 
     inside: bool
@@ -108,6 +124,69 @@ def _tau(dim, scale) -> float:
     return (dim + 1) * _FEAS_EPS * scale
 
 
+def _verdict(gap, dd, tau):
+    """Gilbert's test at an iterate with ``d = q - x``, ``dd = d . d`` and
+    ``gap = d . q - max_i d . p_i``, on scalars or arrays: (certified outside
+    by more than tau, stop stepping)."""
+    norm = dd ** 0.5
+    return gap > tau * norm, (gap < -dd) | (norm <= tau)
+
+
+def _steps(points, x, q, tau):
+    """Gilbert steps from ``x`` in the hull of ``points`` toward ``q``: the
+    unit normal of a plane that ``q`` exceeds by more than ``tau``, or None.
+
+    Far beyond the points' scale d . d overflows; no step then certifies,
+    and the caller's LP decides.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_STEPS):
+            d = q - x
+            s = points.dot(d)
+            j = s.argmax()
+            dd = d.dot(d)
+            certified, stop = _verdict(d.dot(q) - s[j], dd, tau)
+            if certified:
+                return d / dd ** 0.5
+            if stop:
+                return None
+            e = points[j] - x
+            x = x + min(1.0, d.dot(e) / e.dot(e)) * e
+    return None
+
+
+def _extreme_steps(points, tau) -> np.ndarray:
+    """Which points Gilbert steps put farther than ``tau`` from the hull of
+    the other points: each starts from the other points' centroid, and all
+    step together, a block of K points at a time with one (K, m) product per
+    step, in which each point's own column is masked."""
+    m = points.shape[0]
+    certified = np.zeros(m, dtype=bool)
+    others = (points.sum(axis=0) - points) / (m - 1)
+    block = max(1, _BLOCK // m)
+    for lo in range(0, m, block):
+        cols = np.arange(lo, min(m, lo + block))
+        x = others[cols]
+        for _ in range(_STEPS):
+            q = points[cols]
+            d = q - x
+            s = d @ points.T
+            rows = np.arange(len(cols))
+            s[rows, cols] = -np.inf
+            j = s.argmax(axis=1)
+            dd = np.einsum("ij,ij->i", d, d)
+            hit, stop = _verdict(np.einsum("ij,ij->i", d, q) - s[rows, j], dd, tau)
+            certified[cols[hit]] = True
+            go = ~(hit | stop)
+            if not go.any():
+                break
+            cols, x, d, j = cols[go], x[go], d[go], j[go]
+            e = points[j] - x
+            t = np.minimum(1.0, np.einsum("ij,ij->i", d, e) / np.einsum("ij,ij->i", e, e))
+            x = x + t[:, None] * e
+    return certified
+
+
 class _Certificates:
     """What ``contains`` remembers about one hull between queries. Each
     certificate is replaced by one assignment, so a reader never sees half
@@ -115,6 +194,7 @@ class _Certificates:
 
     def __init__(self, points):
         self.scale = float(np.max(np.abs(points)))
+        self.centroid = points.mean(axis=0)
         # n + 1 point indices, their bounding box, and the inverse of their
         # columns of [P^T; 1], which is formed on the first query in the box.
         self.basis = None
@@ -160,6 +240,18 @@ class _Certificates:
             return None
         return Hyperplane(normals[k], offsets[k])
 
+    def separate(self, points, q):
+        """A separator from Gilbert steps that ``q`` exceeds by more than tau,
+        its offset taken from the points."""
+        tau = self.tau(q)
+        normal = _steps(points, self.centroid, q, tau)
+        if normal is None:
+            return None
+        sep = Hyperplane(normal, float(np.max(points @ normal)))
+        # The steps tested d unnormalized; the re-offset margin can differ by
+        # an ulp, so the answer carries it only if it still clears tau.
+        return sep if normal @ q - sep.offset > tau else None
+
     def keep_basis(self, points, basis):
         if len(basis) == points.shape[1] + 1:
             idx = np.array(basis)
@@ -190,8 +282,10 @@ def contains(v: VRep, query) -> MembershipResult:
     separating hyperplane. A certificate from an earlier query on the same
     hull answers without an LP when it settles the query (the last inside
     basis still gives nonnegative weights, or a stored separator holds by
-    more than the LP's band tau); otherwise one LP runs and its basis or
-    separator is remembered. So the inside/outside answer does not depend on
+    more than the LP's band tau). Otherwise Gilbert steps from the hull's
+    centroid look for a separator that holds by more than tau, and failing
+    that one LP runs; the separator or the LP's basis is remembered. So the
+    inside/outside answer does not depend on
     earlier queries for a query farther than tau from the boundary, but the
     weights or the separator returned may. The certificates belong to this
     ``v`` object: ``VRep(v.points)`` starts without them.
@@ -204,6 +298,10 @@ def contains(v: VRep, query) -> MembershipResult:
     sep = cache.outside(q)
     if sep is not None:
         return MembershipResult(False, separator=sep, source="separator")
+    sep = cache.separate(v.points, q)
+    if sep is not None:
+        cache.keep_separator(sep)
+        return MembershipResult(False, separator=sep, source="steps")
 
     outcome = lp_solve(membership_problem(v.points, q))
     if outcome.status == OPTIMAL:
@@ -235,28 +333,17 @@ def is_extreme(v: VRep, k: int) -> bool:
 
 
 def extreme_mask(v: VRep) -> tuple[np.ndarray, int]:
-    """Which points of ``v`` are extreme, and how many of them a separator
+    """Which points of ``v`` are extreme, and how many of them Gilbert steps
     certified without an LP.
 
-    With ``C`` the points minus their centroid, point k sits above point j
-    along ``c_k`` by ``(C C^T)[k, k] - (C C^T)[j, k]``. Point k is extreme
-    if that gap exceeds ``tau * |c_k|`` for every j != k, which puts it
-    farther than the LP's band from the other points' hull; every other
-    point goes through :func:`is_extreme`. So the mask equals the one that
-    LP alone gives.
+    Each point takes steps against the hull of the other points (see the
+    module docstring); one that they put farther than the LP's band tau from
+    that hull is extreme, and every other point goes through
+    :func:`is_extreme`. So the mask equals the one that LP alone gives.
     """
-    m = v.n_points
-    c = v.points - v.points.mean(axis=0)
-    bar = _tau(v.dim, float(np.max(np.abs(v.points)))) * np.linalg.norm(c, axis=1)
-    gap = np.empty(m)
-    step = max(1, _BLOCK // m)
-    for lo in range(0, m, step):
-        cols = np.arange(lo, min(m, lo + step))
-        s = c @ c[cols].T
-        own = s[cols, cols - lo].copy()
-        s[cols, cols - lo] = -np.inf
-        gap[cols] = own - s.max(axis=0)
-    certified = gap > bar
+    if v.n_points == 1:
+        return np.ones(1, dtype=bool), 1
+    certified = _extreme_steps(v.points, _tau(v.dim, float(np.max(np.abs(v.points)))))
     mask = certified.copy()
     for k in np.flatnonzero(~certified):
         mask[k] = is_extreme(v, int(k))
@@ -266,8 +353,8 @@ def extreme_mask(v: VRep) -> tuple[np.ndarray, int]:
 def extreme_points(v: VRep) -> VRep:
     """The sub-VRep of extreme points, in their original order.
 
-    By the Krein-Milman property the hull is unchanged. Points a separator
-    certifies take no LP (see :func:`extreme_mask`).
+    By the Krein-Milman property the hull is unchanged. Points that Gilbert
+    steps certify take no LP (see :func:`extreme_mask`).
     """
     if v.n_points == 1:
         return v

@@ -65,11 +65,11 @@ def test_cached_answers_match_cold_answers(hull, family):
         else:
             margin = res.separator.normal @ q - res.separator.offset
             assert np.max(pts @ res.separator.normal) <= res.separator.offset
-            assert margin > (tau if res.source == "separator" else 0.0)
+            assert margin > (tau if res.source in ("separator", "steps") else 0.0)
         depth = np.max(eq[:, :-1] @ q + eq[:, -1])  # > 0 outside, -distance inside
         if abs(depth) > 2.0 * tau:
             cold = contains(VRep(pts), q)
-            assert cold.source == "lp"
+            assert cold.source in ("lp", "steps")
             assert res.inside == cold.inside == (depth < 0.0)
 
 
@@ -94,3 +94,60 @@ def test_pruning_equals_lp_only_classification(hull, log_depth):
     mask, certified = extreme_mask(v)
     assert mask.tolist() == [is_extreme(v, k) for k in range(v.n_points)]
     assert 0 <= certified <= int(mask.sum())
+
+
+def _benchmark_hull(seed, m=1000, n=9):
+    """A hull shaped like the benchmark's: m points uniform in [-1, 1]^n."""
+    rng = np.random.default_rng(seed)
+    return rng, rng.uniform(-1.0, 1.0, (m, n))
+
+
+def _highs_feasible(pts, q):
+    optimize = pytest.importorskip("scipy.optimize")
+    eq = np.vstack([pts.T, np.ones(len(pts))])
+    res = optimize.linprog(np.zeros(len(pts)), A_eq=eq, b_eq=np.append(q, 1.0),
+                           bounds=(0, None), method="highs")
+    assert res.status in (0, 2)
+    return res.status == 0
+
+
+def test_band_queries_reach_the_lp():
+    """Queries 1e-3 inside or outside the boundary (exit distance by HiGHS)
+    of a benchmark-sized hull stop stepping and go to the LP. Each query gets
+    a fresh hull, so no cached certificate answers first."""
+    optimize = pytest.importorskip("scipy.optimize")
+    rng, pts = _benchmark_hull(7)
+    ctr = pts.mean(axis=0)
+    eq = np.vstack([pts.T, np.ones(len(pts))])
+    for k in range(8):
+        ray = rng.normal(size=pts.shape[1])
+        ray /= np.linalg.norm(ray)
+        # max t s.t. ctr + t ray = P^T y, sum y = 1, y >= 0
+        exit_lp = optimize.linprog(np.append(np.zeros(len(pts)), -1.0),
+                                   A_eq=np.hstack([eq, -np.append(ray, 0.0)[:, None]]),
+                                   b_eq=np.append(ctr, 1.0), bounds=(0, None), method="highs")
+        assert exit_lp.status == 0
+        for side in (1.0 - 1e-3, 1.0 + 1e-3):
+            res = contains(VRep(pts), ctr - side * exit_lp.fun * ray)
+            assert res.source == "lp"
+            assert res.inside == (side < 1.0)
+
+
+def test_steps_answers_agree_with_lp_and_highs():
+    from hullkit.lp import INFEASIBLE, lp_solve
+    from hullkit.queries import membership_problem
+    seen = 0
+    for seed, (m, n) in enumerate([(1000, 9), (200, 5), (40, 3)]):
+        rng, pts = _benchmark_hull(seed, m, n)
+        v = VRep(pts)
+        for q in _stream(rng, pts, "box", k=40):
+            res = contains(v, q)
+            if res.source != "steps":
+                continue
+            seen += 1
+            sep = res.separator
+            assert np.max(pts @ sep.normal) == sep.offset
+            assert sep.normal @ q - sep.offset > _tau(n, max(np.abs(pts).max(), np.abs(q).max()))
+            assert lp_solve(membership_problem(pts, q)).status == INFEASIBLE
+            assert not _highs_feasible(pts, q)
+    assert seen >= 20

@@ -67,8 +67,9 @@ def test_convert_and_contains(tmp_path):
     lines = [line.split() for line in stdout.strip().splitlines()]
     assert [words[0] for words in lines] == ["inside", "outside", "inside", "outside"]
     assert all(len(words) == 3 and words[1].endswith("us") for words in lines)
-    # The first answers take an LP; the repeats are settled by their certificates.
-    assert [words[2] for words in lines] == ["lp", "lp", "basis", "separator"]
+    # The first inside answer takes an LP and the far outside one Gilbert
+    # steps; the repeats are settled by their certificates.
+    assert [words[2] for words in lines] == ["lp", "steps", "basis", "separator"]
 
 
 def test_contains_cube_queries(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,14 +155,15 @@ def test_repeat_queries_answered_from_certificates():
     np.testing.assert_allclose(v.points.T @ again.weights.alpha, np.full(4, 1e-3),
                                atol=1e-12)
     far = contains(v, np.full(4, 3.0))
-    assert not far.inside and far.source == "lp"
+    assert not far.inside and far.source == "steps"
+    _assert_certificate(v, [3.0, 3.0, 3.0, 3.0], far)
     farther = contains(v, np.full(4, 4.0))
     assert not farther.inside and farther.source == "separator"
     np.testing.assert_array_equal(farther.separator.normal, far.separator.normal)
     assert farther.separator.offset == far.separator.offset
     _assert_certificate(v, [4.0, 4.0, 4.0, 4.0], farther)
     # A fresh hull with the same points starts with no certificates.
-    assert contains(VRep(v.points), np.full(4, 4.0)).source == "lp"
+    assert contains(VRep(v.points), np.full(4, 4.0)).source == "steps"
 
 
 def test_separator_cache_is_bounded():
@@ -171,7 +174,7 @@ def test_separator_cache_is_bounded():
         res = contains(v, 1.05 * p)
         assert not res.inside
         _assert_certificate(v, 1.05 * p, res)
-        solved += res.source == "lp"
+        solved += res.source in ("lp", "steps")
     assert solved > _SEPARATORS
     cache = _certificates(v)
     assert cache.separators[0].shape == (_SEPARATORS, 3)
@@ -195,3 +198,66 @@ def test_separator_hit_needs_margin_beyond_tau():
     support = v.points[np.argmax(v.points @ far.separator.normal)]
     res = contains(v, support)
     assert res.inside and res.source == "lp"
+
+
+def _other_centroid_steps(points, tau):
+    """The 1-D step loop run per point against the hull of the other points."""
+    from hullkit.queries import _steps
+    out = []
+    for k in range(len(points)):
+        others = np.delete(points, k, axis=0)
+        out.append(_steps(others, others.mean(axis=0), points[k], tau) is not None)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("seed,n,block", [(0, 2, None), (1, 3, None), (2, 4, 40),
+                                          (3, 5, 1), (4, 6, None)])
+def test_block_steps_certify_what_single_steps_certify(seed, n, block, monkeypatch):
+    from hullkit import queries
+    rng = np.random.default_rng(seed)
+    m = 12 * n
+    pts = rng.uniform(-1.0, 1.0, (m, n)) * 10.0 ** rng.integers(-3, 4)
+    # Half the points sit just inside or outside the hull of the rest, so
+    # some targets certify only after several steps and some never do.
+    ctr = pts.mean(axis=0)
+    pts[m // 2:] = ctr + (pts[m // 2:] - ctr) * rng.uniform(0.97, 1.03, (m - m // 2, 1))
+    if block is not None:
+        monkeypatch.setattr(queries, "_BLOCK", block)
+    tau = queries._tau(n, float(np.abs(pts).max()))
+    blocked = queries._extreme_steps(pts, tau)
+    np.testing.assert_array_equal(blocked, _other_centroid_steps(pts, tau))
+    assert 0 < blocked.sum() < m
+    mask, _ = extreme_mask(VRep(pts))
+    assert not (blocked & ~mask).any()
+
+
+def test_steps_edge_cases():
+    # One point is its own hull's only vertex.
+    mask, certified = extreme_mask(VRep([[1.0, 2.0]]))
+    assert mask.tolist() == [True] and certified == 1
+    # At 1e300, d . d overflows: no step certifies and the LP answers,
+    # with no overflow warning.
+    v = random_point_set(30, 3, seed=5)
+    far = np.full(3, 1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = contains(v, far)
+    assert not res.inside and res.source == "lp"
+    assert res.separator.normal @ far > res.separator.offset
+    # A query equal to a vertex is inside, with no steps answer.
+    for k in np.flatnonzero(extreme_mask(v)[0])[:4]:
+        res = contains(VRep(v.points), v.points[k])
+        assert res.inside and res.source == "lp"
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+@pytest.mark.parametrize("n_inputs", [4, 9])
+def test_extreme_mask_equals_lp_on_engine_models(seed, n_inputs):
+    from hullkit import build_boundary_model, group_by_operating_point, synth_engine_dataset
+    groups = group_by_operating_point(synth_engine_dataset(seed, n_inputs))
+    assert len(groups) == 7
+    for _, rows in groups:
+        v = build_boundary_model(rows, range(n_inputs)).vrep
+        mask, certified = extreme_mask(v)
+        assert mask.tolist() == [is_extreme(v, k) for k in range(v.n_points)]
+        assert 0 < certified <= int(mask.sum())
