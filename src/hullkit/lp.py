@@ -14,6 +14,18 @@ every solve finite. The leaving row is always the minimum ratio with ties
 broken by smallest basis index, so every solve is deterministic.
 Infeasible problems come back with a Farkas certificate ``y`` satisfying
 ``y.A >= 0`` componentwise and ``y.b < 0``.
+
+Two entry points share these rules, the constants below, the
+equilibration and ``_pivot``'s arithmetic, element for element.
+``lp_solve`` runs one LP through both phases: membership for ``contains``,
+the ridge walk's first facet and the Chebyshev dual, each of which reads the
+solution, the basis or the Farkas vector. ``phase1_stack`` runs phase 1
+alone on a stack of K feasibility LPs that share one matrix, one numpy step
+per pivot for every member still running: the pruning LPs of
+``queries.extreme_mask`` and ``queries.is_extreme``, which need only the
+verdict. A member's verdict and pivots equal those of ``lp_solve`` on the
+same LP with zero cost. Single LPs keep the serial loop because a stack of
+one costs more per pivot than it does.
 """
 
 from __future__ import annotations
@@ -71,6 +83,16 @@ class LpOutcome:
     basis: tuple | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class StackOutcome:
+    """Phase-1 results of a stack of feasibility LPs, one entry per member:
+    whether it is feasible, its pivot count and, on request, its pivots."""
+
+    feasible: np.ndarray
+    iterations: np.ndarray
+    pivots: tuple | None = None
+
+
 class _IterationCap(ArithmeticError):
     pass
 
@@ -83,6 +105,15 @@ def _pivot(tableau, obj_row, basis, row, col):
     tableau -= np.outer(factors, tableau[row])
     obj_row -= obj_row[col] * tableau[row]
     basis[row] = col
+
+
+def _equilibrate(row_max, b):
+    """Row factors: each row is divided by its largest absolute entry (the
+    larger of ``row_max``, from A, and |b|; 1 if that is below 1e-12) and
+    flipped where b is negative."""
+    row_scale = np.maximum(row_max, np.abs(b))
+    row_scale[row_scale < 1e-12] = 1.0
+    return np.where(b / row_scale < 0.0, -1.0, 1.0) / row_scale
 
 
 def _simplex(tableau, obj_row, basis, n_cols, phase, pivots, max_iterations, start_iter):
@@ -160,10 +191,7 @@ def lp_solve(problem: LpProblem, track_pivots: bool = False,
 
     # Row equilibration keeps pivot thresholds meaningful across scales;
     # sign flips make the right-hand side nonnegative.
-    row_scale = np.maximum(np.max(np.abs(a), axis=1), np.abs(b))
-    row_scale[row_scale < 1e-12] = 1.0
-    sign = np.where(b / row_scale < 0.0, -1.0, 1.0)
-    e = sign / row_scale
+    e = _equilibrate(np.max(np.abs(a), axis=1), b)
     a1 = a * e[:, None]
     b1 = b * e
 
@@ -224,3 +252,107 @@ def lp_solve(problem: LpProblem, track_pivots: bool = False,
                      pivots=tuple(pivots) if pivots is not None else None,
                      basis=tuple(basis))
 
+
+def phase1_stack(eq_matrix, eq_rhs, skip=None, track_pivots: bool = False) -> StackOutcome:
+    """Feasibility of K systems ``A x = eq_rhs[k]``, ``x >= 0``, that share
+    the (rows, cols) matrix ``A = eq_matrix``.
+
+    Each member runs ``lp_solve``'s phase 1: the same equilibration and
+    artificial basis, Dantzig entering with the Bland fallback after
+    ``_DEGEN_RUN`` degenerate pivots, minimum-ratio leaving with ties to the
+    smallest basis index, the same clamp and the same ``_FEAS_EPS`` verdict.
+    So its verdict and pivots equal those of ``lp_solve`` with zero cost.
+
+    With ``skip``, member k's tableau has column ``skip[k]`` zeroed, so that
+    column never enters and the member pivots on the other columns, their
+    indices kept. Its rows are still scaled by their largest entry in A and
+    ``eq_rhs[k]``. Where ``eq_rhs[k]`` is the skipped column, as for a
+    point tested against the other points, that is the largest entry of the
+    other columns and ``eq_rhs[k]``: the scale of the LP without the column,
+    so the member pivots as ``lp_solve`` on it does.
+
+    The members pivot together on one (K, rows, cols + rows + 1) tableau,
+    each step one numpy operation over all of them, and a member that
+    reaches its phase-1 optimum drops out of the stack. The caller bounds
+    K: the tableau is the only array of its size that the stack holds.
+    """
+    a = as_matrix(eq_matrix)
+    b = np.asarray(eq_rhs, dtype=float)
+    m, n = a.shape
+    if b.ndim != 2 or b.shape[1] != m:
+        raise DimensionError(f"right-hand sides have shape {b.shape}, expected (K, {m})")
+    k = b.shape[0]
+    max_iterations = 1000 + 200 * (m + n)
+    slots = np.arange(k)
+    e = _equilibrate(np.max(np.abs(a), axis=1), b)
+    tableau = np.zeros((k, m, n + m + 1))
+    np.multiply(a, e[:, :, None], out=tableau[:, :, :n])
+    if skip is not None:
+        tableau[slots, :, skip] = 0.0
+    tableau[:, :, n:n + m] = np.eye(m)
+    tableau[:, :, -1] = b * e
+    obj = np.concatenate([np.zeros(n), np.ones(m), [0.0]]) - tableau.sum(axis=1)
+    basis = np.tile(np.arange(n, n + m), (k, 1))
+    degenerate_run = np.zeros(k, dtype=int)
+    pivots = [[] for _ in range(k)] if track_pivots else None
+
+    feasible = np.zeros(k, dtype=bool)
+    iterations = np.zeros(k, dtype=int)
+    members = np.arange(k)  # the member in each slot of the stack
+    iters = 0
+    while members.size:
+        reduced = obj[:, :-1]
+        entering = reduced.argmin(axis=1)  # first minimum: Dantzig's rule
+        bland = degenerate_run > _DEGEN_RUN
+        if bland.any():  # first negative: Bland's rule
+            entering[bland] = (reduced[bland] < -_RC_EPS).argmax(axis=1)
+        done = reduced[slots, entering] >= -_RC_EPS
+        if done.any():
+            feasible[members[done]] = ~(-obj[done, -1] > _FEAS_EPS)
+            iterations[members[done]] = iters
+            # Members still running move into the finished ones' slots, so
+            # the stack stays a leading view of its arrays, with no copy.
+            live = members.size - int(done.sum())
+            if live == 0:
+                break
+            holes = np.flatnonzero(done[:live])
+            movers = live + np.flatnonzero(~done[live:])
+            for arr in (members, tableau, obj, basis, entering, degenerate_run):
+                arr[holes] = arr[movers]
+            members, tableau, obj, basis = members[:live], tableau[:live], obj[:live], basis[:live]
+            entering, degenerate_run, slots = entering[:live], degenerate_run[:live], slots[:live]
+
+        col = tableau[slots, :, entering]
+        rhs = tableau[:, :, -1]
+        eligible = col > _PIV_EPS
+        if not eligible.any(axis=1).all():  # phase-1 objective is bounded below by 0
+            raise ArithmeticError("phase 1 reported unbounded; input is malformed")
+        ratios = np.where(eligible, rhs / np.where(eligible, col, 1.0), np.inf)
+        best = ratios.min(axis=1)
+        # Ties broken by smallest basis index: Bland's rule.
+        tied = ratios <= (best + 1e-12)[:, None]
+        leaving = np.where(tied, basis, n + m).argmin(axis=1)
+        degenerate_run = np.where(best <= _DEGEN_EPS, degenerate_run + 1, 0)
+
+        # _pivot on every member at once; the pivot row's own factor is 0.
+        pivot_row = tableau[slots, leaving] / col[slots, leaving][:, None]
+        col[slots, leaving] = 0.0
+        tableau[slots, leaving] = pivot_row
+        for i in range(m):  # a row at a time: no temporary of the tableau's size
+            tableau[:, i] -= col[:, i, None] * pivot_row
+        obj -= obj[slots, entering][:, None] * pivot_row
+        basis[slots, leaving] = entering
+
+        # Clamp roundoff drift so the ratio test stays meaningful.
+        rhs = tableau[:, :, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0
+
+        if pivots is not None:
+            for member, enter, leave in zip(members, entering, leaving):
+                pivots[member].append((1, int(enter), int(leave)))
+        iters += 1
+        if iters >= max_iterations:
+            raise _IterationCap(f"simplex exceeded {max_iterations} pivots")
+
+    return StackOutcome(feasible, iterations,
+                        tuple(map(tuple, pivots)) if pivots is not None else None)

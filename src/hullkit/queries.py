@@ -33,14 +33,18 @@ rebuilt from the same points starts with an empty cache.
 A Gilbert step holds a point x of the hull and d = q - x. With
 ``j = argmax_i d . p_i``, the query is outside by more than ``tau`` when
 ``gap = d . q - d . p_j > tau * |d|``, with the separator normal
-``d / |d|``. The steps stop after ``_STEPS`` steps, when the hull reaches
+``d / |d|``. Otherwise x moves toward ``p_j`` by an exact line search.
+``contains`` stops the steps after ``_STEPS`` steps, when the hull reaches
 past q along d by at least |d| (``gap < -|d|^2``), or when |d| <= tau, where
-no step can certify since gap <= |d|^2. Otherwise x moves toward ``p_j``
-by an exact line search. ``extreme_points`` runs the same steps for every
-point at once against the other points, from their centroid, so point k's
-first direction is ``m / (m - 1) * (v_k - mean(V))``, the linear function
-of Dula & Helgason (1996). Only the points that no step certifies take an
-LP.
+no step can certify since gap <= |d|^2. ``extreme_points`` runs the steps for
+every point at once against the other points, from their centroid, so point
+k's first direction is ``m / (m - 1) * (v_k - mean(V))``, the linear function
+of Dula & Helgason (1996). Pruning drops the middle stop: in ``contains``
+it cuts short steps that would not certify a band query anyway, but many
+points just outside the hull of the others pass it and still certify a few
+steps later, and each point certified saves an LP. Only the points that no
+step certifies take an LP, all of a hull's in one stacked phase 1
+(``lp.phase1_stack``).
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Hyperplane, as_vector
-from .lp import _FEAS_EPS, INFEASIBLE, OPTIMAL, LpProblem, lp_solve
+from .lp import _FEAS_EPS, INFEASIBLE, OPTIMAL, LpProblem, lp_solve, phase1_stack
 from .polytope import VRep
 
 # Outside separators that ``contains`` keeps per hull, newest first.
 _SEPARATORS = 8
-# Entries of the (K, m) product that ``extreme_mask`` forms per step.
+# Entries of the (K, m) product that ``extreme_mask`` forms per step, and of
+# the (K, rows, cols) tableau of each stack of its LPs.
 _BLOCK = 1 << 22
 # Gilbert steps per target before the LP decides.
 _STEPS = 20
@@ -127,9 +132,9 @@ def _tau(dim, scale) -> float:
 def _verdict(gap, dd, tau):
     """Gilbert's test at an iterate with ``d = q - x``, ``dd = d . d`` and
     ``gap = d . q - max_i d . p_i``, on scalars or arrays: (certified outside
-    by more than tau, stop stepping)."""
+    by more than tau, |d| <= tau, the hull reaches past q by at least |d|)."""
     norm = dd ** 0.5
-    return gap > tau * norm, (gap < -dd) | (norm <= tau)
+    return gap > tau * norm, norm <= tau, gap < -dd
 
 
 def _steps(points, x, q, tau):
@@ -145,10 +150,10 @@ def _steps(points, x, q, tau):
             s = points.dot(d)
             j = s.argmax()
             dd = d.dot(d)
-            certified, stop = _verdict(d.dot(q) - s[j], dd, tau)
+            certified, close, passed = _verdict(d.dot(q) - s[j], dd, tau)
             if certified:
                 return d / dd ** 0.5
-            if stop:
+            if close or passed:
                 return None
             e = points[j] - x
             x = x + min(1.0, d.dot(e) / e.dot(e)) * e
@@ -159,7 +164,8 @@ def _extreme_steps(points, tau) -> np.ndarray:
     """Which points Gilbert steps put farther than ``tau`` from the hull of
     the other points: each starts from the other points' centroid, and all
     step together, a block of K points at a time with one (K, m) product per
-    step, in which each point's own column is masked."""
+    step, in which each point's own column is masked. A point stops when it
+    is certified or |d| <= tau, or after ``_STEPS`` steps."""
     m = points.shape[0]
     certified = np.zeros(m, dtype=bool)
     others = (points.sum(axis=0) - points) / (m - 1)
@@ -175,9 +181,9 @@ def _extreme_steps(points, tau) -> np.ndarray:
             s[rows, cols] = -np.inf
             j = s.argmax(axis=1)
             dd = np.einsum("ij,ij->i", d, d)
-            hit, stop = _verdict(np.einsum("ij,ij->i", d, q) - s[rows, j], dd, tau)
+            hit, close, _ = _verdict(np.einsum("ij,ij->i", d, q) - s[rows, j], dd, tau)
             certified[cols[hit]] = True
-            go = ~(hit | stop)
+            go = ~(hit | close)
             if not go.any():
                 break
             cols, x, d, j = cols[go], x[go], d[go], j[go]
@@ -322,14 +328,34 @@ def contains(v: VRep, query) -> MembershipResult:
     return MembershipResult(False, separator=sep)
 
 
+def _extreme_lps(points, ks) -> np.ndarray:
+    """Which of the points ``ks`` are not convex combinations of the other
+    points, by phase 1 of each one's membership LP.
+
+    Point k's LP is ``[P^T; 1]`` with column k zeroed, which pivots as the
+    LP on the other points alone does. The LPs run as stacks of at most
+    ``_BLOCK`` tableau entries each.
+    """
+    m, n = points.shape
+    eq = np.ones((n + 1, m))
+    eq[:n] = points.T
+    rhs = np.ones((len(ks), n + 1))
+    rhs[:, :n] = points[ks]
+    out = np.empty(len(ks), dtype=bool)
+    block = max(1, _BLOCK // ((n + 1) * (m + n + 2)))
+    for lo in range(0, len(ks), block):
+        hi = lo + block
+        out[lo:hi] = ~phase1_stack(eq, rhs[lo:hi], skip=ks[lo:hi]).feasible
+    return out
+
+
 def is_extreme(v: VRep, k: int) -> bool:
     """True iff ``v_k`` is not a convex combination of the other points."""
     if not 0 <= k < v.n_points:
         raise IndexError(f"point index {k} out of range")
     if v.n_points == 1:
         return True
-    others = np.delete(v.points, k, axis=0)
-    return lp_solve(membership_problem(others, v.points[k])).status == INFEASIBLE
+    return bool(_extreme_lps(v.points, [k])[0])
 
 
 def extreme_mask(v: VRep) -> tuple[np.ndarray, int]:
@@ -338,15 +364,17 @@ def extreme_mask(v: VRep) -> tuple[np.ndarray, int]:
 
     Each point takes steps against the hull of the other points (see the
     module docstring); one that they put farther than the LP's band tau from
-    that hull is extreme, and every other point goes through
-    :func:`is_extreme`. So the mask equals the one that LP alone gives.
+    that hull is extreme. Every other point takes the membership LP against
+    the other points, all of them in one stacked phase 1 (in blocks of at
+    most ``_BLOCK`` tableau entries). So the mask equals the one that
+    :func:`is_extreme` alone gives, point by point.
     """
     if v.n_points == 1:
         return np.ones(1, dtype=bool), 1
     certified = _extreme_steps(v.points, _tau(v.dim, float(np.max(np.abs(v.points)))))
     mask = certified.copy()
-    for k in np.flatnonzero(~certified):
-        mask[k] = is_extreme(v, int(k))
+    rest = np.flatnonzero(~certified)
+    mask[rest] = _extreme_lps(v.points, rest)
     return mask, int(certified.sum())
 
 

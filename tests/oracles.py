@@ -4,8 +4,10 @@ Each oracle takes a deliberately different route from the code it checks:
 basis enumeration instead of simplex pivoting, lattice search instead of the
 sort-and-threshold projection, bisection on the KKT threshold instead of
 sorting, dense grid scans for small membership questions, brute-force
-subset fitting instead of the ridge walk for facet enumeration, and a scan
-of every pair of rows instead of the sort-and-sweep duplicate check.
+subset fitting instead of the ridge walk for facet enumeration, a scan
+of every pair of rows instead of the sort-and-sweep duplicate check, and
+one serial LP per point on the other points instead of the stacked phase 1
+with a zeroed column for vertex pruning.
 """
 
 import itertools
@@ -186,3 +188,16 @@ def pairwise_duplicate_rows(points, eps):
     dists = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
     earlier = np.tril(dists <= eps, k=-1)
     return np.flatnonzero(earlier.any(axis=1))
+
+
+def serial_extreme_mask(points):
+    """Which rows of ``points`` are extreme: for each point, the membership
+    LP on the other points (``np.delete``) through the serial ``lp_solve``."""
+    from hullkit.lp import INFEASIBLE, lp_solve
+    from hullkit.queries import membership_problem
+
+    points = np.asarray(points, dtype=float)
+    if len(points) == 1:
+        return [True]
+    return [lp_solve(membership_problem(np.delete(points, k, axis=0), points[k])).status
+            == INFEASIBLE for k in range(len(points))]

@@ -16,8 +16,9 @@ hypothesis = pytest.importorskip("hypothesis")
 spatial = pytest.importorskip("scipy.spatial")
 from hypothesis import given, strategies as st  # noqa: E402
 
-from hullkit import VRep, contains, extreme_mask, is_extreme  # noqa: E402
+from hullkit import VRep, contains, extreme_mask  # noqa: E402
 from hullkit.queries import _tau  # noqa: E402
+from oracles import serial_extreme_mask  # noqa: E402
 
 hulls = st.tuples(st.integers(0, 2**32 - 1),   # seed
                   st.integers(2, 5),            # dimension
@@ -92,7 +93,7 @@ def test_pruning_equals_lp_only_classification(hull, log_depth):
         planted.append(ctr + (1.0 + depth) * (pts[k] - ctr))
     v = VRep(np.vstack([pts, planted]))
     mask, certified = extreme_mask(v)
-    assert mask.tolist() == [is_extreme(v, k) for k in range(v.n_points)]
+    assert mask.tolist() == serial_extreme_mask(v.points)
     assert 0 <= certified <= int(mask.sum())
 
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hullkit import INFEASIBLE, OPTIMAL, UNBOUNDED, DimensionError, LpProblem, \
-    lp_solve
-from hullkit.lp import _simplex
+    cross_polytope, lp_solve, random_point_set, unit_cube
+from hullkit import lp
+from hullkit.lp import _simplex, phase1_stack
+from hullkit.queries import membership_problem
 from oracles import lp_oracle_min, min_grid_distance
 
 
@@ -127,3 +129,83 @@ def test_beale_cycling_lp_terminates():
     assert abs(c @ x - (-0.05)) <= 1e-12
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
+
+
+def _stack_queries(points, rng):
+    """Membership queries against ``points`` that mix inside and outside,
+    with degenerate ones: the points themselves, edge midpoints and face
+    centres, which sit on faces of the hull."""
+    m = len(points)
+    pairs = rng.choice(m, size=(8, 2))
+    quads = rng.choice(m, size=(6, 4))
+    ctr = points.mean(axis=0)
+    return np.vstack([points[:8],
+                      points[pairs].mean(axis=1),
+                      points[quads].mean(axis=1),
+                      ctr + rng.uniform(-1.0, 1.0, (6, points.shape[1])),
+                      ctr + 2.5 * (points[:4] - ctr)])
+
+
+_STACK_HULLS = {
+    "cube5": lambda: unit_cube(5)[0].points,
+    "cross5": lambda: cross_polytope(5)[0].points,
+    "random40x4": lambda: random_point_set(40, 4, seed=7).points,
+}
+
+
+def _assert_stack_matches_serial(points, queries):
+    problems = [membership_problem(points, q) for q in queries]
+    out = phase1_stack(problems[0].eq_matrix, np.array([p.eq_rhs for p in problems]),
+                       track_pivots=True)
+    statuses = set()
+    for k, p in enumerate(problems):
+        ref = lp_solve(p, track_pivots=True)
+        statuses.add(ref.status)
+        assert (ref.status == OPTIMAL) == out.feasible[k], k
+        assert out.pivots[k] == ref.pivots, k
+        assert out.iterations[k] == ref.iterations, k
+    assert statuses == {OPTIMAL, INFEASIBLE}
+    return out.pivots
+
+
+@pytest.mark.parametrize("hull", sorted(_STACK_HULLS))
+def test_stack_members_pivot_as_lp_solve(hull, monkeypatch):
+    """Every member's verdict and phase-1 pivots equal ``lp_solve``'s, with
+    Dantzig pricing and, at ``_DEGEN_RUN = 1``, with Bland's rule engaged in
+    both engines on the degenerate members."""
+    points = _STACK_HULLS[hull]()
+    queries = _stack_queries(points, np.random.default_rng(3))
+    dantzig = _assert_stack_matches_serial(points, queries)
+    monkeypatch.setattr(lp, "_DEGEN_RUN", 1)
+    bland = _assert_stack_matches_serial(points, queries)
+    if hull != "random40x4":  # general position: no degenerate runs
+        assert bland != dantzig
+
+
+def test_skipped_column_pivots_as_deleted_column():
+    """Member k tests point k against the other points with column k
+    skipped, and pivots as ``lp_solve`` on the matrix without that column,
+    up to the column's index: on the cube's degenerate vertex LPs, and on a
+    hull whose point 5 holds every row's largest entry."""
+    spiked = random_point_set(30, 3, seed=2).points.copy()
+    spiked[5] *= 40.0
+    for points in (unit_cube(4)[0].points, spiked):
+        m, n = points.shape
+        eq = np.vstack([points.T, np.ones(m)])
+        rhs = np.hstack([points, np.ones((m, 1))])
+        out = phase1_stack(eq, rhs, skip=np.arange(m), track_pivots=True)
+        for k in range(m):
+            ref = lp_solve(membership_problem(np.delete(points, k, axis=0), points[k]),
+                           track_pivots=True)
+            assert (ref.status == OPTIMAL) == out.feasible[k]
+            assert tuple((p, e - (e > k), r) for p, e, r in out.pivots[k]) == ref.pivots
+
+
+def test_stack_edge_cases():
+    eq = np.array([[1.0, 1.0]])
+    out = phase1_stack(eq, np.empty((0, 1)))
+    assert out.feasible.shape == (0,)
+    out = phase1_stack(eq, np.array([[1.0], [-1.0], [0.0]]))
+    assert out.feasible.tolist() == [True, False, True]
+    with pytest.raises(DimensionError):
+        phase1_stack(eq, np.ones((2, 2)))

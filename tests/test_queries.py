@@ -6,7 +6,7 @@ import pytest
 from hullkit import VRep, contains, cross_polytope, extreme_mask, extreme_points, \
     is_extreme, random_point_set, unit_cube, vrep_to_hrep
 from hullkit.errors import DimensionError
-from oracles import min_grid_distance
+from oracles import min_grid_distance, serial_extreme_mask
 
 FIG_QUAD = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -201,12 +201,23 @@ def test_separator_hit_needs_margin_beyond_tau():
 
 
 def _other_centroid_steps(points, tau):
-    """The 1-D step loop run per point against the hull of the other points."""
-    from hullkit.queries import _steps
+    """The 1-D step loop run per point against the hull of the other points,
+    with the pruning stop rule: a point stops when certified or |d| <= tau."""
+    from hullkit.queries import _STEPS, _verdict
     out = []
     for k in range(len(points)):
         others = np.delete(points, k, axis=0)
-        out.append(_steps(others, others.mean(axis=0), points[k], tau) is not None)
+        q, x, hit = points[k], others.mean(axis=0), False
+        for _ in range(_STEPS):
+            d = q - x
+            s = others.dot(d)
+            j = s.argmax()
+            hit, close, _ = _verdict(d.dot(q) - s[j], d.dot(d), tau)
+            if hit or close:
+                break
+            e = others[j] - x
+            x = x + min(1.0, d.dot(e) / e.dot(e)) * e
+        out.append(bool(hit))
     return np.array(out)
 
 
@@ -253,11 +264,31 @@ def test_steps_edge_cases():
 @pytest.mark.parametrize("seed", [5, 11])
 @pytest.mark.parametrize("n_inputs", [4, 9])
 def test_extreme_mask_equals_lp_on_engine_models(seed, n_inputs):
+    """The mask equals one serial LP per point on the other points, on
+    normalized and on raw models; raw models leave most points to the
+    stacked LPs."""
     from hullkit import build_boundary_model, group_by_operating_point, synth_engine_dataset
     groups = group_by_operating_point(synth_engine_dataset(seed, n_inputs))
     assert len(groups) == 7
-    for _, rows in groups:
-        v = build_boundary_model(rows, range(n_inputs)).vrep
-        mask, certified = extreme_mask(v)
-        assert mask.tolist() == [is_extreme(v, k) for k in range(v.n_points)]
-        assert 0 < certified <= int(mask.sum())
+    for normalize in (True, False):
+        for _, rows in groups:
+            v = build_boundary_model(rows, range(n_inputs), normalize=normalize).vrep
+            mask, certified = extreme_mask(v)
+            assert mask.tolist() == serial_extreme_mask(v.points)
+            assert 0 <= certified <= int(mask.sum())
+            assert certified > 0 or not normalize
+
+
+@pytest.mark.parametrize("block", [1, 2000, 20000])
+def test_blocked_lp_stacks_give_the_one_stack_mask(block, monkeypatch):
+    """Stacks split to at most ``_BLOCK`` tableau entries each give the mask
+    that one stack gives."""
+    from hullkit import queries
+    pts = random_point_set(60, 4, seed=9).points
+    pts = np.vstack([pts, 0.5 * pts[:30]])  # interior points that need an LP
+    ks = np.arange(len(pts))
+    whole = queries._extreme_lps(pts, ks)
+    monkeypatch.setattr(queries, "_BLOCK", block)
+    np.testing.assert_array_equal(queries._extreme_lps(pts, ks), whole)
+    assert whole.tolist() == serial_extreme_mask(pts)
+    assert 0 < whole.sum() < len(pts)
