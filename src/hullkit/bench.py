@@ -83,8 +83,8 @@ def bench_membership(grid, seeds: int = 3, queries_per_cell: int = 20,
     Half the queries are random convex combinations of the points (inside by
     construction); the other half are uniform in [-1, 1]^n. All queries of
     one hull go to the same ``VRep``, so a query that an earlier one's basis
-    or separator settles, or that Gilbert steps separate, is timed without
-    an LP, as ``contains`` answers it.
+    settles, or that Gilbert steps separate, is timed without an LP, as
+    ``contains`` answers it.
     """
     rows = []
     half = max(1, queries_per_cell // 2)

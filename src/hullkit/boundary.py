@@ -173,8 +173,10 @@ class BoundaryModel:
         if not all(math.isfinite(o) and math.isfinite(s) and s > 0.0
                    for o, s in self.normalization):
             raise ValueError("normalization needs finite offsets and finite positive scales")
+        if self.cached_hrep is not None and self.cached_hrep.dim != self.vrep.dim:
+            raise ValueError("cached H-rep dimension must match the model inputs")
         object.__setattr__(self, "validation_queries",
-                           tuple(np.asarray(q, dtype=float) for q in self.validation_queries))
+                           tuple(as_vector(q, self.vrep.dim) for q in self.validation_queries))
 
     @property
     def offsets(self) -> np.ndarray:
@@ -211,13 +213,11 @@ class BoundaryModel:
 
     def with_cached_hrep(self, hrep: HRep) -> "BoundaryModel":
         """Attach an H-representation plus the queries used to re-validate it."""
-        if hrep.dim != self.vrep.dim:
-            raise ValueError("cached H-rep dimension mismatch")
         rng = np.random.default_rng(941_259_731)
         box = rng.uniform(-1.2, 1.2, (_VALIDATION_QUERIES, self.vrep.dim))
-        queries = [row for row in box]
-        _check_hrep_agreement(self.vrep, hrep, queries)
-        return replace(self, cached_hrep=hrep, validation_queries=tuple(queries))
+        model = replace(self, cached_hrep=hrep, validation_queries=tuple(box))
+        _check_hrep_agreement(model.vrep, hrep, model.validation_queries)
+        return model
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoundaryModel":

@@ -280,7 +280,7 @@ def solve_vrep(f: Objective, cons, v: VRep, opts: SolveOptions | None = None) ->
     return _solve(f, cons, opts, _fista, np.full(v.n_points, 1.0 / v.n_points), v)
 
 
-def _barrier(fun, grad, x, tol, budget, trace, max_iters, a_mat, b_vec):
+def _barrier(fun, grad, x, tol, budget, trace, max_iters, a_mat, b_vec, resume):
     """Newton log-barrier method on ``{x : A x <= b}`` from the interior ``x``.
 
     Centres ``fun(x) - mu * sum(log s)``, ``s = b - A x``, by damped Newton
@@ -291,12 +291,14 @@ def _barrier(fun, grad, x, tol, budget, trace, max_iters, a_mat, b_vec):
     ``y >= 0``, weak duality bounds ``fun(x) - min fun`` by ``y . s``,
     otherwise the bound is ``inf``. At the central point it is ``F mu`` for F
     half-spaces, so ``mu`` starts at 1 and shrinks tenfold once the bound is
-    at most ``2 F mu``, until it is at most ``tol * max(1, |fun|)``. Returns
+    at most ``2 F mu``, until it is at most ``tol * max(1, |fun|)``. The
+    dict ``resume`` keeps the last ``mu``, so a later augmented-Lagrangian
+    round starts where this one ended. Returns
     ``(x, gap, iterations, converged)``.
     """
     n_half = a_mat.shape[0]
     eye = _FD_STEP * np.eye(x.shape[0])
-    mu, iters = 1.0, 0
+    mu, iters = resume.get("mu", 1.0), 0
     s = b_vec - a_mat @ x
     f_cur = fun(x)
     budget.spend()
@@ -316,6 +318,7 @@ def _barrier(fun, grad, x, tol, budget, trace, max_iters, a_mat, b_vec):
             return x, gap, iters, False
         if gap <= 2.0 * n_half * mu:
             mu *= 0.1
+            resume["mu"] = mu
             continue
         iters += 1
         h_f = np.array([grad(x + e) - grad(x - e) for e in eye]) / (2.0 * _FD_STEP)
@@ -361,7 +364,8 @@ def solve_hrep(f: Objective, cons, h: HRep, start,
     start = as_vector(start, h.dim)
     if np.min(h.offsets - h.normals @ start) <= 1e-9:
         raise InfeasibleStart("start point is not strictly inside the region")
-    return _solve(f, cons, opts, partial(_barrier, a_mat=h.normals, b_vec=h.offsets),
+    return _solve(f, cons, opts,
+                  partial(_barrier, a_mat=h.normals, b_vec=h.offsets, resume={}),
                   start.copy())
 
 

@@ -17,18 +17,16 @@ nonnegative and reconstruct the query within the LP's own acceptance band
 ``tau``. So for every query farther than ``tau`` from the boundary a
 shortcut gives the LP's answer. ``contains`` tries, in order:
 
-* the hull's last inside basis (n + 1 point indices, their bounding box
-  and, once a query falls in that box, the inverse of their columns):
-  ``B^-1 [q; 1] >= 0`` makes the query inside with those weights;
-* a bounded list of recent outside separators: one that ``q`` exceeds by
-  more than ``tau`` makes it outside;
+* the hull's last inside basis (n + 1 point indices and the inverse of their
+  columns of ``[P^T; 1]``): ``B^-1 [q; 1] >= 0`` makes the query inside with
+  those weights;
 * Gilbert steps (Gilbert 1966; Kalantari's triangle algorithm, 2015,
   adapts them to hull membership), from the hull's centroid;
 * the LP.
 
-This module holds the basis, the separators and the centroid weakly, keyed
-by the ``VRep`` object itself, so they go away with the hull, and a hull
-rebuilt from the same points starts with an empty cache.
+This module holds the basis and the centroid weakly, keyed by the ``VRep``
+object itself, so they go away with the hull, and a hull rebuilt from the
+same points starts with an empty cache.
 
 A Gilbert step holds a point x of the hull and d = q - x. With
 ``j = argmax_i d . p_i``, the query is outside by more than ``tau`` when
@@ -58,8 +56,6 @@ from .linalg import Hyperplane, as_vector
 from .lp import _FEAS_EPS, INFEASIBLE, OPTIMAL, LpProblem, lp_solve, phase1_stack
 from .polytope import VRep
 
-# Outside separators that ``contains`` keeps per hull, newest first.
-_SEPARATORS = 8
 # Entries of the (K, m) product that ``extreme_mask`` forms per step, and of
 # the (K, rows, cols) tableau of each stack of its LPs.
 _BLOCK = 1 << 22
@@ -95,8 +91,8 @@ class MembershipResult:
     """A membership answer and its certificate.
 
     ``source`` names what settled it: ``"lp"`` (a solve), ``"basis"`` (the
-    hull's cached inside basis), ``"separator"`` (a cached separator) or
-    ``"steps"`` (Gilbert steps from the hull's centroid, outside only).
+    hull's cached inside basis) or ``"steps"`` (Gilbert steps from the
+    hull's centroid, outside only).
     """
 
     inside: bool
@@ -194,17 +190,15 @@ def _extreme_steps(points, tau) -> np.ndarray:
 
 
 class _Certificates:
-    """What ``contains`` remembers about one hull between queries. Each
-    certificate is replaced by one assignment, so a reader never sees half
-    of an update."""
+    """What ``contains`` remembers about one hull between queries. The basis
+    is replaced by one assignment, so a reader never sees half of an
+    update."""
 
     def __init__(self, points):
         self.scale = float(np.max(np.abs(points)))
         self.centroid = points.mean(axis=0)
-        # n + 1 point indices, their bounding box, and the inverse of their
-        # columns of [P^T; 1], which is formed on the first query in the box.
+        # n + 1 point indices and the inverse of their columns of [P^T; 1].
         self.basis = None
-        self.separators = (np.empty((0, points.shape[1])), np.empty(0))  # newest first
 
     def tau(self, q):
         return _tau(q.shape[0], max(self.scale, float(np.abs(q).max())))
@@ -214,14 +208,7 @@ class _Certificates:
         reconstruct ``q`` from the original points within distance tau."""
         if self.basis is None:
             return None
-        idx, lo, hi, inverse = self.basis
-        if (q < lo).any() or (q > hi).any():  # outside the simplex's box
-            return None
-        if inverse is None:
-            cols = np.ones((len(idx), len(idx)))
-            cols[:-1] = points[idx].T
-            inverse = np.linalg.inv(cols)
-            self.basis = idx, lo, hi, inverse
+        idx, inverse = self.basis
         beta = inverse[:, :-1] @ q
         beta += inverse[:, -1]
         if beta.min() < 0.0:
@@ -232,19 +219,6 @@ class _Certificates:
         alpha = np.zeros(points.shape[0])
         alpha[idx] = beta
         return Weights(alpha)
-
-    def outside(self, q):
-        """The stored separator that ``q`` exceeds most, if by more than tau."""
-        normals, offsets = self.separators
-        if not offsets.size:
-            return None
-        margin = normals @ q
-        margin -= offsets
-        k = int(margin.argmax())
-        # tau > 0, so most misses are settled before tau is computed.
-        if margin[k] <= 0.0 or margin[k] <= self.tau(q):
-            return None
-        return Hyperplane(normals[k], offsets[k])
 
     def separate(self, points, q):
         """A separator from Gilbert steps that ``q`` exceeds by more than tau,
@@ -261,13 +235,9 @@ class _Certificates:
     def keep_basis(self, points, basis):
         if len(basis) == points.shape[1] + 1:
             idx = np.array(basis)
-            vertices = points[idx]
-            self.basis = idx, vertices.min(axis=0), vertices.max(axis=0), None
-
-    def keep_separator(self, sep):
-        normals, offsets = self.separators
-        self.separators = (np.concatenate((sep.normal[None], normals[:_SEPARATORS - 1])),
-                           np.concatenate(([sep.offset], offsets[:_SEPARATORS - 1])))
+            cols = np.ones((len(idx), len(idx)))
+            cols[:-1] = points[idx].T
+            self.basis = idx, np.linalg.inv(cols)
 
 
 # Each hull's certificates, made on its first query and dropped with the hull.
@@ -285,28 +255,22 @@ def contains(v: VRep, query) -> MembershipResult:
     """Decide membership of ``query`` in ``conv(V)``.
 
     Inside answers carry convex-combination weights; outside answers carry a
-    separating hyperplane. A certificate from an earlier query on the same
-    hull answers without an LP when it settles the query (the last inside
-    basis still gives nonnegative weights, or a stored separator holds by
-    more than the LP's band tau). Otherwise Gilbert steps from the hull's
-    centroid look for a separator that holds by more than tau, and failing
-    that one LP runs; the separator or the LP's basis is remembered. So the
-    inside/outside answer does not depend on
-    earlier queries for a query farther than tau from the boundary, but the
-    weights or the separator returned may. The certificates belong to this
-    ``v`` object: ``VRep(v.points)`` starts without them.
+    separating hyperplane. The inside basis of the last LP on the same hull
+    answers without an LP when it still gives nonnegative weights. Otherwise
+    Gilbert steps from the hull's centroid look for a separator that holds
+    by more than the LP's band tau, and failing that one LP runs; only an
+    inside LP answer's basis is remembered. So the inside/outside answer does
+    not depend on earlier queries for a query farther than tau from the
+    boundary, but the weights returned may. The basis belongs to this ``v``
+    object: ``VRep(v.points)`` starts without it.
     """
     q = as_vector(query, v.dim)
     cache = _certificates(v)
     weights = cache.inside(v.points, q)
     if weights is not None:
         return MembershipResult(True, weights=weights, source="basis")
-    sep = cache.outside(q)
-    if sep is not None:
-        return MembershipResult(False, separator=sep, source="separator")
     sep = cache.separate(v.points, q)
     if sep is not None:
-        cache.keep_separator(sep)
         return MembershipResult(False, separator=sep, source="steps")
 
     outcome = lp_solve(membership_problem(v.points, q))
@@ -324,7 +288,6 @@ def contains(v: VRep, query) -> MembershipResult:
         raise ArithmeticError("degenerate Farkas certificate")
     normal = -u / norm
     sep = Hyperplane(normal, float(np.max(v.points @ normal)))
-    cache.keep_separator(sep)
     return MembershipResult(False, separator=sep)
 
 

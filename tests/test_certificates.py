@@ -4,7 +4,7 @@ A stream of queries runs against one hull, so later queries may be answered
 from the certificates of earlier ones. Every answer must match a cold answer
 on a fresh copy of the hull whenever the query is farther than the LP's band
 tau from the boundary, inside weights must reconstruct the query, outside
-separators must be strict, and separator-first pruning must keep exactly the
+separators must be strict, and step-first pruning must keep exactly the
 points that LP alone keeps. Hulls are drawn at unit scale, scaled by 1e4 and
 shifted by 1e3; Qhull gives the boundary distances.
 """
@@ -66,7 +66,7 @@ def test_cached_answers_match_cold_answers(hull, family):
         else:
             margin = res.separator.normal @ q - res.separator.offset
             assert np.max(pts @ res.separator.normal) <= res.separator.offset
-            assert margin > (tau if res.source in ("separator", "steps") else 0.0)
+            assert margin > (tau if res.source == "steps" else 0.0)
         depth = np.max(eq[:, :-1] @ q + eq[:, -1])  # > 0 outside, -distance inside
         if abs(depth) > 2.0 * tau:
             cold = contains(VRep(pts), q)

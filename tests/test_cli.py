@@ -1,18 +1,26 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import hullkit
 from hullkit import VRep, load_hrep, load_vrep, save_vrep
 
 FIG_QUAD = np.array([[0.0, 0.0], [2.0, 0.0], [3.0, 2.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+# The sources this suite imports, so the CLI runs them without an install.
+SRC = os.path.dirname(os.path.dirname(hullkit.__file__))
+
+
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "hullkit", *args],
-                          capture_output=True, text=True, cwd=cwd, timeout=120)
+                          capture_output=True, text=True, cwd=cwd, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -67,9 +75,9 @@ def test_convert_and_contains(tmp_path):
     lines = [line.split() for line in stdout.strip().splitlines()]
     assert [words[0] for words in lines] == ["inside", "outside", "inside", "outside"]
     assert all(len(words) == 3 and words[1].endswith("us") for words in lines)
-    # The first inside answer takes an LP and the far outside one Gilbert
-    # steps; the repeats are settled by their certificates.
-    assert [words[2] for words in lines] == ["lp", "steps", "basis", "separator"]
+    # The first inside answer takes an LP and both far outside ones Gilbert
+    # steps; the repeated inside answer is settled by the LP's basis.
+    assert [words[2] for words in lines] == ["lp", "steps", "basis", "steps"]
 
 
 def test_contains_cube_queries(tmp_path):
@@ -213,8 +221,29 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _triangle_model(**fields):
+    """A model document of the unit triangle with its cached H-rep, updated
+    by ``fields``."""
+    r = 2.0 ** -0.5
+    doc = {
+        "schema_version": 1, "name": "m", "input_columns": [0, 1],
+        "op_point_key": [], "pruned": False, "normalization": [[0, 1]] * 2,
+        "vrep": {"dim": 2, "points": [[0, 0], [1, 0], [0, 1]]},
+        "cached_hrep": {"dim": 2, "halfspaces": [
+            {"normal": [-1, 0], "offset": 0}, {"normal": [0, -1], "offset": 0},
+            {"normal": [r, r], "offset": r}]},
+        "validation_queries": [[0.2, 0.2], [2.0, 2.0]]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
 BAD_FILES = {
     "missing-field": '{"dim": 2}',
+    "model-hrep-dims-disagree": _triangle_model(cached_hrep={"dim": 3, "halfspaces": [
+        {"normal": [-1, 0, 0], "offset": 0}, {"normal": [0, -1, 0], "offset": 0},
+        {"normal": [0, 0, -1], "offset": 0}, {"normal": [3 ** -0.5] * 3, "offset": 3 ** -0.5}]}),
+    "model-nan-validation-query": _triangle_model(validation_queries=[[0.2, None]]),
+    "model-short-validation-query": _triangle_model(validation_queries=[[0.2]]),
     "model-dims-disagree": json.dumps({
         "schema_version": 1, "name": "m", "input_columns": [0, 1, 2],
         "op_point_key": [], "pruned": False, "normalization": [[0, 1]] * 3,

@@ -158,30 +158,21 @@ def test_repeat_queries_answered_from_certificates():
     assert not far.inside and far.source == "steps"
     _assert_certificate(v, [3.0, 3.0, 3.0, 3.0], far)
     farther = contains(v, np.full(4, 4.0))
-    assert not farther.inside and farther.source == "separator"
-    np.testing.assert_array_equal(farther.separator.normal, far.separator.normal)
-    assert farther.separator.offset == far.separator.offset
+    assert not farther.inside and farther.source == "steps"
     _assert_certificate(v, [4.0, 4.0, 4.0, 4.0], farther)
-    # A fresh hull with the same points starts with no certificates.
-    assert contains(VRep(v.points), np.full(4, 4.0)).source == "steps"
+    # A fresh hull with the same points starts without the basis.
+    assert contains(VRep(v.points), np.full(4, 1e-3)).source == "lp"
 
 
-def test_separator_cache_is_bounded():
-    from hullkit.queries import _SEPARATORS, _certificates
+def test_queries_just_beyond_each_vertex_are_separated():
     v = random_point_set(30, 3, seed=2)
-    solved = 0
     for p in extreme_points(v).points:  # just beyond each vertex
         res = contains(v, 1.05 * p)
         assert not res.inside
         _assert_certificate(v, 1.05 * p, res)
-        solved += res.source in ("lp", "steps")
-    assert solved > _SEPARATORS
-    cache = _certificates(v)
-    assert cache.separators[0].shape == (_SEPARATORS, 3)
-    assert cache.separators[1].shape == (_SEPARATORS,)
 
 
-def test_extreme_mask_counts_separator_certificates():
+def test_extreme_mask_counts_step_certificates():
     mask, certified = extreme_mask(VRep(FIG_QUAD))
     assert mask.tolist() == [True, True, True, False, True]
     assert certified == 4  # only the interior point (1, 1) takes an LP
@@ -189,12 +180,12 @@ def test_extreme_mask_counts_separator_certificates():
     assert mask.all() and certified == 8
 
 
-def test_separator_hit_needs_margin_beyond_tau():
+def test_steps_separator_needs_margin_beyond_tau():
     v = random_point_set(40, 4, seed=3)
     far = contains(v, np.full(4, 3.0))
     assert not far.inside
-    # The vertex that attains the stored separator's offset lies on its
-    # plane, inside the LP's band, so the separator must not answer for it.
+    # The vertex that attains the steps separator's offset lies on its
+    # plane, inside the LP's band, so no separator may answer for it.
     support = v.points[np.argmax(v.points @ far.separator.normal)]
     res = contains(v, support)
     assert res.inside and res.source == "lp"
